@@ -63,10 +63,7 @@ let () =
       let value = Json.to_float (Json.field "value" e) in
       let jobs = Json.int_field "jobs" e in
       if config = "" then fail "empty config";
-      if
-        metric <> "protocol_slots_per_sec"
-        && metric <> "speedup_measured"
-        && metric <> "speedup_projected"
+      if metric <> "protocol_slots_per_sec" && metric <> "speedup_measured"
       then fail "unknown metric %S in %s" metric config;
       if not (value > 0.) then fail "non-positive value in %s/%s" config metric;
       if jobs < 1 then fail "jobs < 1 in %s" config;

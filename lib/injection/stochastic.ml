@@ -50,28 +50,25 @@ let calibrate t measure ~target =
   if current <= 0. then invalid_arg "Stochastic.calibrate: current rate is 0";
   scale t (target /. current)
 
-(* One multinomial draw: u lands in a choice's probability segment, or in
-   the silent remainder [mass, 1). Top level (not a closure) so quiet
-   slots cost no heap traffic beyond the rng draws themselves. *)
-let rec pick choices u idx acc =
-  if idx >= Array.length choices then None
-  else begin
-    let path, prob = choices.(idx) in
-    let acc = acc +. prob in
-    if u < acc then Some path else pick choices u (idx + 1) acc
-  end
-
 (* Ascending generator order fixes the rng stream (one [Rng.float] per
    generator per slot); arrivals accumulate newest-first and are reversed,
-   so the common no-arrival slot returns [] without allocating the
-   intermediate generator list the old [Array.to_list] pipeline built. *)
+   so the common no-arrival slot returns [] without allocating. Each draw
+   is one multinomial: u lands in a choice's probability segment, or in
+   the silent remainder [mass, 1). The segment scan is a loop over local
+   floats, so nothing is boxed per generator. *)
 let rec draw_gens gens rng i acc =
   if i >= Array.length gens then List.rev acc
   else begin
     let u = Rng.float rng 1. in
-    match pick gens.(i).choices u 0 0. with
-    | None -> draw_gens gens rng (i + 1) acc
-    | Some path -> draw_gens gens rng (i + 1) (path :: acc)
+    let choices = gens.(i).choices in
+    let hit = ref (-1) and j = ref 0 and cum = ref 0. in
+    while !hit < 0 && !j < Array.length choices do
+      let _, prob = choices.(!j) in
+      cum := !cum +. prob;
+      if u < !cum then hit := !j else incr j
+    done;
+    if !hit < 0 then draw_gens gens rng (i + 1) acc
+    else draw_gens gens rng (i + 1) (fst choices.(!hit) :: acc)
   end
 
 let draw t rng ~slot:_ = draw_gens t.gens rng 0 []

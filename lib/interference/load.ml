@@ -22,15 +22,6 @@ let of_paths m paths =
     paths;
   r
 
-let of_requests m links =
-  let r = zero m in
-  List.iter
-    (fun e ->
-      assert (e >= 0 && e < m);
-      r.(e) <- r.(e) +. 1.)
-    links;
-  r
-
 let add a b =
   assert (Array.length a = Array.length b);
   Array.mapi (fun i x -> x +. b.(i)) a

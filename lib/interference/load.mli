@@ -14,9 +14,6 @@ val of_link_counts : int -> (int * int) list -> float array
     cross it (a path crossing a link twice counts twice). *)
 val of_paths : int -> Dps_network.Path.t list -> float array
 
-(** [of_requests m links] counts occurrences of each link id in [links]. *)
-val of_requests : int -> int list -> float array
-
 (** [add a b] is the pointwise sum (fresh array). *)
 val add : float array -> float array -> float array
 

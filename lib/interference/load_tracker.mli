@@ -15,7 +15,7 @@
 
     Stale-epoch rescans can fan out over {!Dps_par.Par} when the tracker
     was created with [jobs > 1] (or per query via [?jobs]): the touched
-    rows are chunked in list order and per-chunk first-occurrence maxima
+    rows are chunked newest first and per-chunk first-occurrence maxima
     are folded in chunk order, so both the value and the cached argmax
     are byte-identical to the sequential scan for every [jobs]
     (docs/PARALLELISM.md). With [jobs = 1] the rescan is the sequential
@@ -31,8 +31,11 @@ type t
 (** The backend type, for {!Tracker_intf.S} conformance. *)
 type backing = Measure.t
 
-(** A fresh tracker over the all-zero load. Forces the measure's column
-    (CSC) index on first update: O(m + nnz) once. [jobs] (default 1) is
+(** A fresh tracker over the all-zero load. Updates read the link's
+    {!Measure.column}, which the measure keeps and shares with every
+    other tracker over it (a dense measure builds its CSC index on the
+    first request, O(m + nnz) once; the tiled engine builds just that
+    column). The tracker itself holds no column data. [jobs] (default 1) is
     the fan-out for stale rescans; [par_threshold] (default 4096) is the
     touched-row count below which rescans stay sequential even when
     [jobs > 1]. Raises [Invalid_argument] on [jobs < 1]. *)
@@ -56,6 +59,11 @@ val remove : t -> int -> unit
 
 (** [add_scaled t e c] — add [c] (possibly negative) to the load on [e]. *)
 val add_scaled : t -> int -> float -> unit
+
+(** [add_count t e n] is [add_scaled t e (float_of_int n)], bit for bit,
+    without boxing the float at the call site: once the tracker's
+    vectors have grown, updates allocate nothing. *)
+val add_count : t -> int -> int -> unit
 
 (** Current load on link [e]. *)
 val load : t -> int -> float

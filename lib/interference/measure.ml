@@ -6,7 +6,15 @@
    present. The transposed (CSC) index is built lazily on first column
    access — it is only needed by incremental consumers (Load_tracker).
 
-   Ext: a closure record delegating every operation to an external
+   Columns are handed out as [column] views: for dense, a slice of the
+   transpose, made once per column and kept next to it; for an external
+   backend, whatever its [column] closure returns (the tiled engine
+   builds a column on its first request and keeps it, one store per
+   engine). Either way a repeated request returns the same view without
+   allocating, so every Load_tracker over one measure shares its columns
+   and reads the arrays directly.
+
+   Ext:a closure record delegating every operation to an external
    backend (Tiled.as_measure wraps the ε-sparsified slab engine this
    way). The ext arm exists so the whole protocol stack — trackers,
    static algorithms, adversaries, calibration — runs on the sparse
@@ -17,11 +25,18 @@
    recorded [error_bound]: dense measures are exact (0), ext measures
    may underestimate any (W·R)(e) by at most row_error(e)·‖R‖∞. *)
 
+type column = { rows : int array; weights : float array; lo : int; hi : int }
+
 type transpose = {
   col_ptr : int array;  (* length m+1 *)
   row_idx : int array;  (* length nnz; sorted ascending inside a column *)
   col_weights : float array;
+  views : column array;  (* per-column view, [unfetched] until requested *)
 }
+
+(* Placeholder for a view not made yet (every real column holds at least
+   the diagonal). *)
+let unfetched = { rows = [||]; weights = [||]; lo = 0; hi = 0 }
 
 type dense = {
   m : int;
@@ -37,9 +52,7 @@ type ext = {
   e_row_nnz : int -> int;
   e_iter_row : int -> (int -> float -> unit) -> unit;
   e_weight : int -> int -> float;
-  e_ensure_transpose : unit -> unit;
-  e_column_nnz : int -> int;
-  e_iter_column : int -> (int -> float -> unit) -> unit;
+  e_column : int -> column;
   e_interference_at : float array -> int -> float;
   e_interference : float array -> float;
   e_max_row_sum : unit -> float;
@@ -60,9 +73,8 @@ let error_bound = function Dense _ -> 0. | Ext e -> e.e_error_bound
 let row_error t e' =
   match t with Dense _ -> 0. | Ext e -> e.e_row_error e'
 
-let of_ext ~m ~nnz ~row_nnz ~iter_row ~weight ~ensure_transpose ~column_nnz
-    ~iter_column ~interference_at ~interference ~max_row_sum ~error_bound
-    ~row_error () =
+let of_ext ~m ~nnz ~row_nnz ~iter_row ~weight ~column ~interference_at
+    ~interference ~max_row_sum ~error_bound ~row_error () =
   if m <= 0 then invalid_arg "Measure.of_ext: m must be > 0";
   if not (error_bound >= 0.) then
     invalid_arg "Measure.of_ext: error_bound must be >= 0";
@@ -72,9 +84,7 @@ let of_ext ~m ~nnz ~row_nnz ~iter_row ~weight ~ensure_transpose ~column_nnz
       e_row_nnz = row_nnz;
       e_iter_row = iter_row;
       e_weight = weight;
-      e_ensure_transpose = ensure_transpose;
-      e_column_nnz = column_nnz;
-      e_iter_column = iter_column;
+      e_column = column;
       e_interference_at = interference_at;
       e_interference = interference;
       e_max_row_sum = max_row_sum;
@@ -258,29 +268,41 @@ let dense_transpose d =
         next.(c) <- slot + 1
       done
     done;
-    let tr = { col_ptr; row_idx; col_weights } in
+    let tr =
+      { col_ptr; row_idx; col_weights; views = Array.make d.m unfetched }
+    in
     d.transposed <- Some tr;
     tr
 
 let ensure_transpose = function
   | Dense d -> ignore (dense_transpose d)
-  | Ext x -> x.e_ensure_transpose ()
+  | Ext _ -> ()
 
-let column_nnz t e' =
+(* A racing first request from two domains stores two equal views, one
+   of which stays: no answer depends on which. *)
+let column t e' =
   match t with
   | Dense d ->
     let tr = dense_transpose d in
-    tr.col_ptr.(e' + 1) - tr.col_ptr.(e')
-  | Ext x -> x.e_column_nnz e'
+    let c = tr.views.(e') in
+    if c != unfetched then c
+    else begin
+      let c =
+        { rows = tr.row_idx;
+          weights = tr.col_weights;
+          lo = tr.col_ptr.(e');
+          hi = tr.col_ptr.(e' + 1) }
+      in
+      tr.views.(e') <- c;
+      c
+    end
+  | Ext x -> x.e_column e'
 
 let iter_column t e' f =
-  match t with
-  | Dense d ->
-    let tr = dense_transpose d in
-    for k = tr.col_ptr.(e') to tr.col_ptr.(e' + 1) - 1 do
-      f tr.row_idx.(k) tr.col_weights.(k)
-    done
-  | Ext x -> x.e_iter_column e' f
+  let c = column t e' in
+  for k = c.lo to c.hi - 1 do
+    f c.rows.(k) c.weights.(k)
+  done
 
 let interference_at t load e =
   match t with

@@ -26,7 +26,9 @@
     iteration in ascending link-id order included, so an exact (ε = 0)
     external measure behaves byte-identically to its dense equivalent —
     and additionally record an {!error_bound}: how far below the true
-    dense value their interference answers may fall. *)
+    dense value their interference answers may fall. An external backend
+    need keep no full column index: it builds each {!column} on its
+    first request and keeps it. *)
 
 type t
 
@@ -74,15 +76,27 @@ val row_nnz : t -> int -> int
 val iter_row : t -> int -> (int -> float -> unit) -> unit
 
 (** [ensure_transpose t] — build the CSC index now if it does not exist
-    yet (idempotent, O(m + nnz)). The lazy build mutates [t], so a
-    measure shared by several domains must be forced {e before} the
+    yet (idempotent, O(m + nnz)). The lazy build mutates a dense [t], so
+    a measure shared by several domains must be forced {e before} the
     fan-out — [Driver.run_many] does this for the measure inside its
     config; call it yourself when handing a fresh measure to your own
-    parallel tasks (docs/PARALLELISM.md). *)
+    parallel tasks (docs/PARALLELISM.md). External backends fill their
+    column store one column at a time, safely from any domain: a
+    no-op. *)
 val ensure_transpose : t -> unit
 
-(** Stored entries in column [e'] (forces the transposed index). *)
-val column_nnz : t -> int -> int
+(** One column of [W]: the stored entries [W(rows.(k), e') =
+    weights.(k)] for [k] in [[lo, hi)], rows ascending. The arrays may be
+    shared with the measure (a dense column is a slice of the transpose):
+    read-only. *)
+type column = { rows : int array; weights : float array; lo : int; hi : int }
+
+(** [column t e'] — column [e'] as a {!column} view (forces a dense
+    transpose; an external backend builds it on demand). The first
+    request for a column makes its view and the measure keeps it, so
+    later requests return the same view without allocating, and every
+    consumer of one measure shares one copy of each column. *)
+val column : t -> int -> column
 
 (** [iter_column t e' f] calls [f e w] for every stored [W(e, e') = w] —
     the rows a load change on link [e'] affects — in ascending [e] order.
@@ -108,8 +122,10 @@ val max_row_sum : t -> float
 (** [of_ext ~m … ()] wraps an external interference backend as a measure.
     Every closure must honour the dense contract documented on the
     corresponding accessor above; in particular [iter_row]/[iter_column]
-    must visit entries in ascending id order and [ensure_transpose] must
-    be idempotent and safe to call before a parallel fan-out.
+    must visit entries in ascending id order, rows ascending inside a
+    [column], and [column] must be safe to call from several domains at
+    once and, once a column has been requested, return it again without
+    allocating.
     [error_bound] is the backend's global slack: for any load vector [R],
     the true dense interference exceeds the backend's answer by at most
     [error_bound · ||R||_inf] (per-row refinement via [row_error]).
@@ -120,9 +136,7 @@ val of_ext :
   row_nnz:(int -> int) ->
   iter_row:(int -> (int -> float -> unit) -> unit) ->
   weight:(int -> int -> float) ->
-  ensure_transpose:(unit -> unit) ->
-  column_nnz:(int -> int) ->
-  iter_column:(int -> (int -> float -> unit) -> unit) ->
+  column:(int -> column) ->
   interference_at:(float array -> int -> float) ->
   interference:(float array -> float) ->
   max_row_sum:(unit -> float) ->

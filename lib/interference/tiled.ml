@@ -26,18 +26,6 @@ module Par = Dps_par.Par
 type cols_slab = (int32, Bigarray.int32_elt, Bigarray.c_layout) Bigarray.Array1.t
 type wts_slab = (float, Bigarray.float64_elt, Bigarray.c_layout) Bigarray.Array1.t
 
-(* CSC view of the slabs, built lazily on first column access. Columns
-   are filled scanning links in ascending id order (via pos), so each
-   column lists its rows ascending by link id — exactly the dense
-   [Measure] transpose order, which keeps Load_tracker's column-push
-   summation order (and hence every float) identical to the dense
-   backend at ε = 0. *)
-type transpose = {
-  col_ptr : int array;  (* length m+1 *)
-  t_rows : cols_slab;  (* link ids, ascending inside a column *)
-  t_wts : wts_slab;
-}
-
 type t = {
   m : int;
   tiling : Tiling.t;
@@ -52,8 +40,12 @@ type t = {
   nonempty : int list;  (* occupied tiles, ascending *)
   row_bound : float array;  (* link id -> dropped-mass bound *)
   max_row_bound : float;
-  mutable transposed : transpose option;
+  col_cache : Measure.column array;  (* link id -> column, [unfetched] until built *)
 }
+
+(* Placeholder for a column not built yet (every real column holds at
+   least the diagonal). *)
+let unfetched = { Measure.rows = [||]; weights = [||]; lo = 0; hi = 0 }
 
 let size t = t.m
 let nnz t = t.row_ptr.(t.m)
@@ -226,7 +218,7 @@ let create ?(jobs = 1) ?cell ~epsilon ~points ~gain ~bound () =
     nonempty;
     row_bound;
     max_row_bound;
-    transposed = None }
+    col_cache = Array.make m unfetched }
 
 let row_nnz t e =
   let r = t.pos.(e) in
@@ -266,19 +258,21 @@ let interference ?(jobs = 1) t load =
   let per_tile = Par.map ~jobs (fun a -> tile_max t load a) t.nonempty in
   List.fold_left Float.max 0. per_tile
 
-let weight t e e' =
-  let r = t.pos.(e) in
-  (* Slab rows are sorted by link id: binary search inside the row. *)
+(* Slab offset of entry [e'] in slab row [r], or -1: rows are sorted by
+   link id, so binary search inside the row. *)
+let find t r e' =
   let rec search lo hi =
-    if lo > hi then 0.
+    if lo > hi then -1
     else
       let mid = (lo + hi) / 2 in
       let id = Int32.to_int (Bigarray.Array1.unsafe_get t.cols mid) in
-      if id = e' then Bigarray.Array1.unsafe_get t.wts mid
-      else if id < e' then search (mid + 1) hi
-      else search lo (mid - 1)
+      if id = e' then mid else if id < e' then search (mid + 1) hi else search lo (mid - 1)
   in
   search t.row_ptr.(r) (t.row_ptr.(r + 1) - 1)
+
+let weight t e e' =
+  let k = find t t.pos.(e) e' in
+  if k < 0 then 0. else Bigarray.Array1.unsafe_get t.wts k
 
 let max_row_sum t =
   let best = ref 0. in
@@ -291,61 +285,45 @@ let max_row_sum t =
   done;
   !best
 
-(* Counting-sort CSC, scattering links in ascending id order so each
-   column's row list comes out sorted by link id (see [transpose]'s type
-   comment — this is what makes ε = 0 byte-identical to dense under
-   Load_tracker). *)
-let transpose t =
-  match t.transposed with
-  | Some tr -> tr
-  | None ->
-    let n = t.row_ptr.(t.m) in
-    let col_ptr = Array.make (t.m + 1) 0 in
-    for k = 0 to n - 1 do
-      let c = Int32.to_int (Bigarray.Array1.unsafe_get t.cols k) in
-      col_ptr.(c + 1) <- col_ptr.(c + 1) + 1
-    done;
-    for c = 1 to t.m do
-      col_ptr.(c) <- col_ptr.(c) + col_ptr.(c - 1)
-    done;
-    let next = Array.copy col_ptr in
-    let t_rows = Bigarray.(Array1.create int32 c_layout (Int.max n 1)) in
-    let t_wts = Bigarray.(Array1.create float64 c_layout (Int.max n 1)) in
-    for e = 0 to t.m - 1 do
-      let r = t.pos.(e) in
-      for k = t.row_ptr.(r) to t.row_ptr.(r + 1) - 1 do
-        let c = Int32.to_int (Bigarray.Array1.unsafe_get t.cols k) in
-        let slot = next.(c) in
-        Bigarray.Array1.unsafe_set t_rows slot (Int32.of_int e);
-        Bigarray.Array1.unsafe_set t_wts slot
-          (Bigarray.Array1.unsafe_get t.wts k);
-        next.(c) <- slot + 1
-      done
-    done;
-    let tr = { col_ptr; t_rows; t_wts } in
-    t.transposed <- Some tr;
-    tr
+(* Column e' on demand. Row e stores only columns within [near] tiles of
+   its own tile, so only rows of the tiles within [near] of e''s tile can
+   hold e'; each is binary-searched. The rows are sorted ascending by
+   link id — the dense transpose order, which keeps Load_tracker's
+   column-push summation order (and every float) identical to the dense
+   backend at ε = 0. *)
+let build_column t e' =
+  let tiling = t.tiling in
+  let hits = ref [] in
+  Tiling.iter_window tiling (Tiling.tile_of tiling e') ~radius:t.near (fun b ->
+      for r = t.tile_rows.(b) to t.tile_rows.(b + 1) - 1 do
+        let k = find t r e' in
+        if k >= 0 then hits := (t.order.(r), Bigarray.Array1.unsafe_get t.wts k) :: !hits
+      done);
+  let hits = Array.of_list !hits in
+  Array.sort (fun (a, _) (b, _) -> Int.compare a b) hits;
+  { Measure.rows = Array.map fst hits;
+    weights = Array.map snd hits;
+    lo = 0;
+    hi = Array.length hits }
 
-let ensure_transpose t = ignore (transpose t)
-
-let column_nnz t e' =
-  let tr = transpose t in
-  tr.col_ptr.(e' + 1) - tr.col_ptr.(e')
-
-let iter_column t e' f =
-  let tr = transpose t in
-  for k = tr.col_ptr.(e') to tr.col_ptr.(e' + 1) - 1 do
-    f (Int32.to_int (Bigarray.Array1.unsafe_get tr.t_rows k))
-      (Bigarray.Array1.unsafe_get tr.t_wts k)
-  done
+(* One store per engine, shared by every [as_measure] view and every
+   tracker over them. A racing first request from two domains stores two
+   equal columns, one of which stays: no answer depends on which. *)
+let column t e' =
+  let c = t.col_cache.(e') in
+  if c != unfetched then c
+  else begin
+    let c = build_column t e' in
+    t.col_cache.(e') <- c;
+    c
+  end
 
 let as_measure ?(jobs = 1) t =
   if jobs < 1 then invalid_arg "Tiled.as_measure: jobs must be >= 1";
   Measure.of_ext ~m:t.m
     ~nnz:(fun () -> nnz t)
     ~row_nnz:(row_nnz t) ~iter_row:(iter_row t) ~weight:(weight t)
-    ~ensure_transpose:(fun () -> ensure_transpose t)
-    ~column_nnz:(column_nnz t) ~iter_column:(iter_column t)
+    ~column:(column t)
     ~interference_at:(fun load e -> interference_at t load e)
     ~interference:(fun load -> interference ~jobs t load)
     ~max_row_sum:(fun () -> max_row_sum t)

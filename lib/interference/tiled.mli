@@ -84,7 +84,9 @@ val row_bound : t -> int -> float
 val max_row_bound : t -> float
 
 (** Approximate resident size of the measure in bytes (slabs + per-link
-    and per-tile index arrays) — the memory model of docs/SCALING.md. *)
+    and per-tile index arrays) — the memory model of docs/SCALING.md.
+    The {!column} store is not counted: 8 bytes per link for its slots,
+    plus the columns a run has requested. *)
 val bytes : t -> int
 
 (** Stored entries in row [e]. *)
@@ -109,20 +111,17 @@ val weight : t -> int -> int -> float
 (** Largest stored row sum [max_e Σ_e' W_sparse(e, e')]. *)
 val max_row_sum : t -> float
 
-(** Build the CSC (column) index now if it does not exist yet
-    (idempotent, O(m + nnz), stored in Bigarray slabs). Like
-    {!Measure.ensure_transpose}, force it before sharing the measure
-    across domains. *)
-val ensure_transpose : t -> unit
-
-(** Stored entries in column [e'] (forces the column index). *)
-val column_nnz : t -> int -> int
-
-(** [iter_column t e' f] calls [f e w] for every stored
-    [W_sparse(e, e') = w], in ascending [e] order — the same order as the
-    dense {!Measure.iter_column}, so incremental consumers sum in the
-    same float order and ε = 0 stays byte-identical to dense. *)
-val iter_column : t -> int -> (int -> float -> unit) -> unit
+(** [column t e'] — column [e'] as a {!Measure.column}, rows ascending:
+    the same order as the dense {!Measure.iter_column}, so incremental
+    consumers sum in the same float order and ε = 0 stays byte-identical
+    to dense. Built on the first request — the rows that can hold [e']
+    are those of the tiles within {!near_radius} of its tile, each
+    binary-searched, O(window rows · log row_nnz) — and kept in one store
+    per engine: later requests, from any {!as_measure} view or tracker,
+    return the same column without allocating. Memory follows the links
+    a run has loaded, at most one copy of each column. Safe to call from
+    several domains at once. *)
+val column : t -> int -> Measure.column
 
 (** [as_measure ?jobs t] — the sparse engine as a first-class
     {!Measure.t} ({!Measure.of_ext}), sharing [t]'s slabs: no
@@ -147,8 +146,9 @@ type measure = t
 (** Incremental [‖W_sparse · R‖∞] under single-link load updates — the
     tiled instance of {!Tracker_intf.S}. A thin wrapper over
     {!Load_tracker} on the {!as_measure} view: updates push through the
-    sparse column index in O(nnz(column)), queries are O(1) amortized,
-    and reset is proportional to what was touched. The tracked value
+    link's {!column} (built on first use, then shared) in
+    O(nnz(column)), queries are O(1) amortized, and reset is
+    proportional to what was touched. The tracked value
     equals [interference meas load] exactly, for every [jobs]. *)
 module Tracker : sig
   type t
@@ -180,8 +180,9 @@ module Tracker : sig
   (** Exact [(W_sparse · load)(e)] for the current load. *)
   val interference_at : t -> int -> float
 
-  (** Current [‖W_sparse · load‖∞]; recomputes dirty tiles
-      ([jobs]-parallel), then folds all tile maxima in index order. *)
+  (** Current [‖W_sparse · load‖∞]; a query after the maximum fell
+      rescans the touched rows ([jobs]-parallel past the tracker's
+      threshold). *)
   val interference : ?jobs:int -> t -> float
 
   (** Back to the all-zero load. *)

@@ -26,6 +26,9 @@ val pop : t -> int
 
 val ensure_capacity : t -> int -> unit
 
+val sort : t -> unit
+(** Sort the live elements ascending, in place, without allocating. *)
+
 val iter : (int -> unit) -> t -> unit
 val iter_rev : (int -> unit) -> t -> unit
 val exists : (int -> bool) -> t -> bool

@@ -44,10 +44,10 @@ let rec adjudicate ?rng t attempts =
    byte-identical to [adjudicate]. Winners are pushed onto [winners]
    (cleared first) in exactly the order the list API would return them.
 
-   Wireline, Mac and Conflict adjudicate without allocating; the
-   SINR-family rules and Lossy fall back to the list implementation
-   (their math is list-shaped and allocation-dominated by float work, not
-   by the conversion). *)
+   Wireline, Mac, Conflict and SINR adjudicate without allocating, and
+   Lossy only boxes its loss draws; power control keeps the list
+   implementation (its fixed-point search is list-shaped and dominated
+   by float work, not by the conversion). *)
 (* [Intvec.exists] with a capturing closure would allocate; an index
    recursion keeps the same early exit without any heap traffic. The scan
    includes [e] itself, exactly as the list rule's [List.exists] did. *)
@@ -57,7 +57,7 @@ let rec conflicts_with cg active e j =
   && (Conflict_graph.conflict cg e (V.get active j)
      || conflicts_with cg active e (j + 1))
 
-let adjudicate_vec ?rng t ~active ~winners =
+let rec adjudicate_vec ?rng t ~active ~winners =
   let module V = Dps_prelude.Intvec in
   V.clear winners;
   match t with
@@ -71,7 +71,32 @@ let adjudicate_vec ?rng t ~active ~winners =
       let e = V.get active i in
       if not (conflicts_with cg active e 0) then V.push winners e
     done
-  | Sinr _ | Sinr_power_control _ | Lossy _ ->
+  | Sinr phys ->
+    for i = V.length active - 1 downto 0 do
+      let e = V.get active i in
+      if Physics.feasible_vec phys ~active e then V.push winners e
+    done
+  | Lossy (base, loss) -> (
+    if not (loss >= 0. && loss <= 1.) then
+      invalid_arg "Oracle.adjudicate: Lossy probability outside [0, 1]";
+    match rng with
+    | None -> invalid_arg "Oracle.adjudicate: Lossy oracle needs an rng"
+    | Some r ->
+      (* The base rule first, then one loss draw per winner in order:
+         the list rule's [List.filter] over [adjudicate base]. *)
+      adjudicate_vec ?rng base ~active ~winners;
+      let kept = ref 0 in
+      for i = 0 to V.length winners - 1 do
+        let e = V.get winners i in
+        if not (Rng.bernoulli r loss) then begin
+          V.set winners !kept e;
+          incr kept
+        end
+      done;
+      while V.length winners > !kept do
+        ignore (V.pop winners)
+      done)
+  | Sinr_power_control _ ->
     (* List order = reverse of [active]: build by prepending forward. *)
     let attempts = ref [] in
     V.iter (fun e -> attempts := e :: !attempts) active;

@@ -34,9 +34,10 @@ val adjudicate : ?rng:Dps_prelude.Rng.t -> t -> int list -> int list
     zero-allocation slot loop. [active] holds the deduplicated attempting
     links in first-occurrence order; [winners] is cleared and filled with
     the succeeding subset in the exact order {!adjudicate} would return
-    it (so stochastic oracles consume randomness identically). Wireline,
-    Mac and Conflict allocate nothing; the SINR family and Lossy convert
-    through the list API. *)
+    it (so stochastic oracles consume randomness identically), and SINR
+    sums interference in the same float order. Wireline, Mac, Conflict
+    and SINR allocate nothing; [Lossy] adds only its loss draws' boxed
+    floats, and [Sinr_power_control] converts through the list API. *)
 val adjudicate_vec :
   ?rng:Dps_prelude.Rng.t ->
   t ->

@@ -39,6 +39,15 @@ val sinr : t -> active:int list -> int -> float
     [sinr t ~active e >= beta]? *)
 val feasible : t -> active:int list -> int -> bool
 
+(** [sinr_vec t ~active e] is [sinr t ~active:l e] for [l] the elements
+    of [active] from last to first — the order the channel's adjudication
+    has always summed in — bit for bit. *)
+val sinr_vec : t -> active:Dps_prelude.Intvec.t -> int -> float
+
+(** [feasible_vec t ~active e] is [sinr_vec t ~active e >= beta], without
+    allocating. *)
+val feasible_vec : t -> active:Dps_prelude.Intvec.t -> int -> bool
+
 (** [feasible_set t links] — do all the given simultaneous transmissions
     succeed together? *)
 val feasible_set : t -> int list -> bool

@@ -1,5 +1,7 @@
 module Rng = Dps_prelude.Rng
+module Intvec = Dps_prelude.Intvec
 module Channel = Dps_sim.Channel
+module Scratch = Dps_sim.Scratch
 
 let make ?(c = 4.) ?(slack = 4.) ?(adaptive = false) () =
   assert (c >= 1. && slack >= 0.);
@@ -17,8 +19,10 @@ let make ?(c = 4.) ?(slack = 4.) ?(adaptive = false) () =
     while !used < budget && !pending <> [] do
       let i_val =
         if adaptive then begin
-          let reqs = List.map (fun idx -> requests.(idx)) !pending in
-          Request.measure_of ~measure (Array.of_list reqs)
+          let s = Channel.scratch channel in
+          Intvec.clear s.Scratch.pending;
+          List.iter (Intvec.push s.Scratch.pending) !pending;
+          Request.measure_of_live s ~measure requests s.Scratch.pending
         end
         else initial_i
       in

@@ -37,6 +37,35 @@ let make ?(budget = 0.5) ?(slack = 8) ~priority () =
        REVERSED (newest acceptance first). *)
     let round = s.Scratch.pending in
     let attempts = s.Scratch.attempts in
+    (* Accept [candidate] if its own incoming load over the current
+       members is within budget, and every member it would hit stays
+       within budget. Members outside the candidate's column are
+       unaffected, and their loads were within budget when they were
+       admitted. O(nnz(column candidate)), read straight off the
+       measure's kept column: no closure, no boxed weight. *)
+    let load_within candidate =
+      Load_tracker.interference_at tracker candidate <= budget
+      && begin
+           let { Measure.rows; weights; lo; hi = stop } =
+             Measure.column measure candidate
+           in
+           let k = ref lo in
+           while
+             !k < stop
+             && begin
+                  let e = rows.(!k) in
+                  not
+                    (in_round.(e)
+                    && Load_tracker.interference_at tracker e -. 1.
+                       +. weights.(!k)
+                       > budget)
+                end
+           do
+             incr k
+           done;
+           !k = stop
+         end
+    in
     (* [order] is compacted in place as requests are served (stable, so
        the priority order of the survivors is untouched): round packing
        scans only the unserved tail instead of all n requests every slot. *)
@@ -47,23 +76,6 @@ let make ?(budget = 0.5) ?(slack = 8) ~priority () =
       (* Pack one round: accept the next request (in priority order) if the
          pairwise interference load of the round stays within budget. *)
       Intvec.clear round;
-      let load_within candidate =
-        (* The candidate's own incoming load over the current members... *)
-        Load_tracker.interference_at tracker candidate <= budget
-        && begin
-             (* ...and every member the candidate would hit stays within
-                budget. Members outside the candidate's column are
-                unaffected, and their loads were within budget when they
-                were admitted. O(nnz(column candidate)) in total. *)
-             let ok = ref true in
-             Measure.iter_column measure candidate (fun e w ->
-                 if
-                   !ok && in_round.(e)
-                   && Load_tracker.interference_at tracker e -. 1. +. w > budget
-                 then ok := false);
-             !ok
-           end
-      in
       for oi = 0 to !order_len - 1 do
         let idx = order.(oi) in
         if not served.(idx) then begin

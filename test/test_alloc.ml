@@ -148,39 +148,72 @@ let test_run_frame_sparse () =
     ~algorithm:Dps_static.Oneshot.algorithm ~lambda:0.1 ~t1:64
 
 (* Steady-state tracker traffic: adds/removes on already-touched links
-   plus the stale-rescan interference query. Column iteration boxes the
-   weight at each callback on BOTH backends (the closure is opaque at
-   the call site), so the pin here is relative: the ext dispatch may
-   not allocate a single word more per round than the dense CSC walk
-   over the very same matrix — the closure record costs indirection,
-   never allocation. *)
+   plus the stale-rescan interference query. With only link 3 loaded the
+   cached argmax is a row of column 3, so taking one packet off link 3
+   lowers it and the next query rescans the touched rows (and answers
+   1, the diagonal). The tracker reads the measure's kept column views
+   directly, so neither backend allocates a word beyond the query's
+   boxed float result. *)
 let test_sparse_tracker_ops () =
   let module Load_tracker = Dps_interference.Load_tracker in
   let module Tiled = Dps_interference.Tiled in
   let tiled, _ = sparse_fixture () in
-  let rounds w =
-    M.ensure_transpose w;
+  let rounds name w =
     let tr = Load_tracker.create w in
+    let queries = 10_000 in
     let ops () =
-      for _ = 1 to 10_000 do
-        Load_tracker.add tr 3;
-        Load_tracker.add tr 5;
-        ignore (Load_tracker.interference tr);
+      for _ = 1 to queries do
+        Load_tracker.add_count tr 3 2;
         Load_tracker.remove tr 3;
-        Load_tracker.remove tr 5;
-        ignore (Load_tracker.interference tr)
+        ignore (Sys.opaque_identity (Load_tracker.interference tr));
+        Load_tracker.add tr 5;
+        Load_tracker.add_scaled tr 5 (-1.);
+        Load_tracker.reset tr
       done
     in
     ops ();
-    measure ops
+    (* a float returned across the module boundary is a 2-word box *)
+    Alcotest.(check (float 0.)) (name ^ ": 10k tracker rounds") 0.
+      (measure ops -. float_of_int (2 * queries))
   in
-  let dense = rounds (Tiled.to_measure tiled) in
-  let sparse = rounds (Tiled.as_measure tiled) in
-  if sparse > dense then
-    Alcotest.failf
-      "ext backend allocates more than dense on identical traffic: %.0f vs \
-       %.0f words per 10k rounds"
-      sparse dense
+  rounds "dense" (Tiled.to_measure tiled);
+  rounds "ext" (Tiled.as_measure tiled)
+
+(* SINR adjudication reads the flat physics arrays in place. *)
+let test_busy_slots_sinr () =
+  let _, phys = sparse_fixture () in
+  let channel = Channel.create ~oracle:(Oracle.Sinr phys) ~m:8 () in
+  let attempts = Intvec.of_list [ 6; 1; 4; 3 ] in
+  busy_loop channel attempts;
+  check_zero "10k busy sinr slots" (fun () -> busy_loop channel attempts)
+
+(* A delay-select run over the sparse measure on the SINR channel: its
+   rounds evaluate the live interference through the cached tracker and
+   bucket the draws in scratch, so a run allocates its [served] array and
+   outcome (n + 4 words) plus the boxed interference of each round (2
+   words), and nothing per slot. Every round spends at least
+   [window_floor] = 8 slots unless the budget ends it. *)
+let test_delay_select_round () =
+  let module Request = Dps_static.Request in
+  let module Algorithm = Dps_static.Algorithm in
+  let tiled, phys = sparse_fixture () in
+  let sparse = Dps_interference.Tiled.as_measure tiled in
+  let channel = Channel.create ~oracle:(Oracle.Sinr phys) ~m:8 () in
+  let rng = Rng.create ~seed:3 () in
+  let n = 200 in
+  let requests = Array.init n (fun k -> Request.make ~link:(k mod 8) ~key:k) in
+  let algo = Dps_static.Delay_select.make ~c:4. () in
+  let run () =
+    algo.Algorithm.run ~channel ~rng ~measure:sparse ~requests ~budget:2000
+  in
+  ignore (run ());
+  let slots = ref 0 in
+  let words = measure (fun () -> slots := (run ()).Algorithm.slots_used) in
+  let rounds_max = (!slots / 8) + 1 in
+  if !slots < 100 then Alcotest.failf "fixture too small: %d slots" !slots;
+  if words > float_of_int (n + 4 + (2 * rounds_max)) then
+    Alcotest.failf "delay-select run allocated %.0f words over %d slots (n = %d)"
+      words !slots n
 
 let () =
   let quick name f = Alcotest.test_case name `Quick f in
@@ -188,7 +221,8 @@ let () =
     [ ( "channel",
         [ quick "idle slots allocate nothing" test_idle_slots;
           quick "busy wireline slots allocate nothing" test_busy_slots_wireline;
-          quick "busy mac slots allocate nothing" test_busy_slots_mac ] );
+          quick "busy mac slots allocate nothing" test_busy_slots_mac;
+          quick "busy sinr slots allocate nothing" test_busy_slots_sinr ] );
       ( "protocol",
         [ quick "run_frame slope pin (wireline/oneshot)" test_run_frame_wireline;
           quick "run_frame slope pin (mac/decay)" test_run_frame_decay ] );
@@ -196,4 +230,6 @@ let () =
         [ quick "run_frame slope pin (sinr/oneshot, ext backend)"
             test_run_frame_sparse;
           quick "tracker ops on the ext backend allocate nothing"
-            test_sparse_tracker_ops ] ) ]
+            test_sparse_tracker_ops;
+          quick "delay-select rounds allocate nothing per slot"
+            test_delay_select_round ] ) ]
