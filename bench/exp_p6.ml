@@ -1,5 +1,5 @@
 (* P6 — sparse hot path end-to-end: full-protocol slots/sec with the
-   interference measure served directly by the ε-sparsified tiled engine
+   interference measure the ε-sparsified tiled engine packed
    (Tiled.as_measure, no densification) against the dense CSR measure on
    the same physics.
 
@@ -23,9 +23,10 @@
    no dense figure is given. The speedup is the median ratio over 11
    interleaved dense/sparse pairs, not a ratio of two medians taken
    minutes apart. When the fan-out width allows it, the
-   sparse run is repeated with intra-slot tile-parallel interference
-   (as_measure ~jobs) and its totals are asserted byte-identical to the
-   sequential run before the parallel wall clock is trusted.
+   sparse run is repeated with [jobs] handed to the channel and the
+   protocol — the stale-rescan fan-out, the only one inside a slot — and
+   its totals are asserted byte-identical to the sequential run before
+   the parallel wall clock is trusted.
 
    Output: the table below plus BENCH_P6.json (dps-bench/1, bench "p6")
    at DPS_BENCH_OUT; schema and reading guide in docs/PERFORMANCE.md. *)
@@ -45,7 +46,7 @@ type cell = {
   delivered : int;
   error_bound : float; (* realized max row bound, <= epsilon *)
   sparse_sps : float;
-  par_jobs : int; (* 0 = no tile-parallel measurement *)
+  par_jobs : int; (* 0 = no fan-out measurement *)
   par_sps : float;
   dense_sps : float; (* 0. when dense was skipped *)
   speedup : float; (* median per-pair dense/sparse time; 0. when skipped *)
@@ -99,13 +100,14 @@ let run_cell ~m ~dense_cap ~runs ~pairs ~jobs =
   let frames_n = frames (if m >= 100_000 then 8 else 24) in
   (* One deterministic run from a fresh rng with the measure swapped in;
      returns its channel totals. *)
-  let one_run measure_w seed () =
+  let one_run ?(jobs = 1) measure_w seed () =
     let rng = Rng.create ~seed () in
     let channel =
-      Channel.create ~rng:(Rng.split rng) ~oracle:(Oracle.Sinr phys) ~m ()
+      Channel.create ~rng:(Rng.split rng) ~jobs ~oracle:(Oracle.Sinr phys) ~m ()
     in
     let protocol =
-      Protocol.create { config with Protocol.measure = measure_w } ~channel
+      Protocol.create ~jobs { config with Protocol.measure = measure_w }
+        ~channel
     in
     let r =
       Driver.run_protocol ~protocol ~source:(Driver.Stochastic inj)
@@ -123,13 +125,12 @@ let run_cell ~m ~dense_cap ~runs ~pairs ~jobs =
   let par_jobs, par_sps =
     if jobs <= 1 then (0, 0.)
     else begin
-      let sparse_par = Tiled.as_measure ~jobs tiled in
       let par_totals, t =
-        Common.median_time ~warmup:1 ~runs (one_run sparse_par 42)
+        Common.median_time ~warmup:1 ~runs (one_run ~jobs sparse 42)
           ~equal:(fun a b -> a = b)
       in
       if par_totals <> totals then
-        failwith "exp_p6: tile-parallel run disagrees with sequential";
+        failwith "exp_p6: fan-out run disagrees with sequential";
       (jobs, float_of_int slots /. t)
     end
   in
@@ -269,5 +270,5 @@ let run () =
     | None -> "BENCH_P6.json"
   in
   emit_json out cells;
-  Tbl.note "dense skipped above m=%d (memory: ~48 bytes x m^2).\n" dense_cap;
+  Tbl.note "dense skipped above m=%d (memory: ~28 bytes x m^2).\n" dense_cap;
   Tbl.note "wrote %s; schema and reading guide: docs/PERFORMANCE.md\n" out

@@ -6,7 +6,7 @@
    side 2·√m and unit-length links under the linear power assignment
    (alpha = 4), i.e. the Section 6.1 matrix W(ℓ, ℓ') = a_p(ℓ', ℓ). On
    this geometry every affectance is positive, so the dense matrix holds
-   all m² entries: ~16 M boxed (col, weight) pairs at m = 4096 and an
+   all m² entries: ~16 M (col, weight) pairs at m = 4096 and an
    impossible ~10^10 (hundreds of GB) at m = 10^5. The tiled path keeps
    O(window) entries per row for a documented ε = 0.1 error bound.
 
@@ -15,9 +15,10 @@
      DPS_BENCH_JOBS fan-out (byte-identical rows either way);
    - stored entries per link and resident bytes per link (memory model);
    - the realized max row error bound (≤ ε by construction);
-   - tracker step throughput: Tracker.add/remove with a periodic
-     ‖W·R‖∞ query — the protocol's hot loop at scale;
-   - one full interference query, sequential and jobs-parallel.
+   - tracker step throughput: Load_tracker add/remove over the tiled
+     measure with a periodic ‖W·R‖∞ query — the protocol's hot loop at
+     scale;
+   - one full whole-vector interference query.
 
    Dense linear_power is built only for m ≤ dense-cap (4096): above that
    it exhausts memory. At m = 10^5 the dense column reports a PROJECTION
@@ -30,6 +31,7 @@
 
 open Common
 module Tiled = Dps_interference.Tiled
+module Load_tracker = Dps_interference.Load_tracker
 module Tiling = Dps_geometry.Tiling
 
 let epsilon = 0.1
@@ -48,7 +50,6 @@ type cell = {
   dense_projected_s : float; (* projection at this m; 0. until known *)
   step_ops_per_sec : float;
   query_s : float;
-  par_query_s : float;
 }
 
 let physics_for m =
@@ -64,14 +65,14 @@ let random_load m =
 
 (* Tracker hot loop: alternating add/remove over a stride-7919 link walk
    with a full ‖W·R‖∞ query every 64 updates. *)
-let step_run meas ~ops () =
-  let m = Tiled.size meas in
-  let tr = Tiled.Tracker.create meas in
+let step_run measure ~ops () =
+  let m = Measure.size measure in
+  let tr = Load_tracker.create measure in
   let acc = ref 0. in
   for i = 0 to ops - 1 do
     let e = i * 7919 mod m in
-    if i land 1 = 0 then Tiled.Tracker.add tr e else Tiled.Tracker.remove tr e;
-    if i land 63 = 63 then acc := !acc +. Tiled.Tracker.interference tr
+    if i land 1 = 0 then Load_tracker.add tr e else Load_tracker.remove tr e;
+    if i land 63 = 63 then acc := !acc +. Load_tracker.interference tr
   done;
   !acc
 
@@ -104,26 +105,16 @@ let run_cell ~m ~dense_cap ~runs ~jobs =
       t
   in
   let ops = if smoke then 200 else 20_000 in
+  let measure = Tiled.as_measure meas in
   let _, step_s =
-    Common.median_time ~warmup:1 ~runs (step_run meas ~ops) ~equal:Float.equal
+    Common.median_time ~warmup:1 ~runs (step_run measure ~ops)
+      ~equal:Float.equal
   in
   let load = random_load m in
   let _, query_s =
     Common.median_time ~warmup:1 ~runs
-      (fun () -> Tiled.interference meas load)
+      (fun () -> Measure.interference measure load)
       ~equal:Float.equal
-  in
-  let par_query_s =
-    if jobs <= 1 then 0.
-    else
-      let v, t =
-        Common.median_time ~warmup:1 ~runs
-          (fun () -> Tiled.interference ~jobs meas load)
-          ~equal:Float.equal
-      in
-      if v <> Tiled.interference meas load then
-        failwith "exp_s1: parallel interference disagrees with sequential";
-      t
   in
   { m;
     tiles = Tiling.tiles (Tiled.tiling meas);
@@ -137,8 +128,7 @@ let run_cell ~m ~dense_cap ~runs ~jobs =
     dense_s;
     dense_projected_s = 0.;
     step_ops_per_sec = float_of_int ops /. step_s;
-    query_s;
-    par_query_s }
+    query_s }
 
 (* Fill in the dense projection for cells where dense was skipped, from
    the per-pair rate of the largest measured dense cell. *)
@@ -202,9 +192,7 @@ let emit_json path cells =
         @ (if c.par_jobs = 0 then []
            else
              [ entry ~config ~metric:"construct_links_per_sec"
-                 ~value:(fm /. c.par_construct_s) ~jobs:c.par_jobs;
-               entry ~config ~metric:"query_links_per_sec"
-                 ~value:(fm /. c.par_query_s) ~jobs:c.par_jobs ])
+                 ~value:(fm /. c.par_construct_s) ~jobs:c.par_jobs ])
         @ (if c.dense_s > 0. then
              [ entry ~config ~metric:"dense_construct_links_per_sec"
                  ~value:(fm /. c.dense_s) ~jobs:1;
@@ -273,7 +261,7 @@ let run () =
   in
   emit_json out cells;
   Tbl.note
-    "dense skipped above m=%d (memory: ~48 bytes x m^2); speedups there are \
+    "dense skipped above m=%d (memory: ~28 bytes x m^2); speedups there are \
      projections from the measured per-pair rate.\n"
     dense_cap;
   Tbl.note "wrote %s; schema and reading guide: docs/SCALING.md\n" out

@@ -392,11 +392,12 @@ let jobs =
     & info [ "jobs" ] ~docv:"N"
         ~doc:
           "Parallelism on $(docv) domains (clamped to the machine's \
-           recommended domain count): $(b,--reps) replicas fan out one per \
-           domain, and a single $(b,--sparse) run evaluates interference \
-           tile-parallel inside each slot. Results and telemetry are \
-           identical for every $(docv) — parallelism only changes the wall \
-           clock. Rejected when $(docv) < 1.")
+           recommended domain count) for three things: $(b,--reps) replicas \
+           fan out one per domain, the $(b,--sparse) measure is built tile \
+           by tile, and a stale interference rescan that finds 4096 or \
+           more touched rows splits them across domains. Results and \
+           telemetry are identical for every $(docv) — parallelism only \
+           changes the wall clock. Rejected when $(docv) < 1.")
 
 let trace =
   Arg.(

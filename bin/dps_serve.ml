@@ -437,9 +437,11 @@ let jobs =
     value & opt int 1
     & info [ "jobs" ] ~docv:"N"
         ~doc:
-          "Evaluate $(b,--sparse) interference tile-parallel on $(docv) \
-           domains (clamped to the machine's recommended domain count). An \
-           execution knob, not state: replies, journals and checkpoints are \
+          "Parallelism on $(docv) domains (clamped to the machine's \
+           recommended domain count): the $(b,--sparse) measure is built \
+           tile by tile, and a stale interference rescan that finds 4096 \
+           or more touched rows splits them across domains. An execution \
+           knob, not state: replies, journals and checkpoints are \
            byte-identical for every $(docv). Rejected when $(docv) < 1.")
 
 let run_safely model topology algorithm rate epsilon stations loss sparse tile

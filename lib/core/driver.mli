@@ -49,7 +49,7 @@ val run :
     events with 1-in-[k] head-based sampling (see {!Protocol.create}).
     [jobs] is the intra-run tracker fan-out handed to the channel and
     protocol (default 1; results never depend on it — it only pays off
-    on large sparse backends, docs/SCALING.md). Raises
+    on large sparse measures, docs/SCALING.md). Raises
     [Invalid_argument] on negative [metrics_every]. *)
 val run_traced :
   ?packet_trace:int ->

@@ -155,8 +155,8 @@ type gtel = {
   c_shed : Metrics.counter;
 }
 
-(* Sparse-backend error telemetry, resolved only when the measure is an
-   ε-sparsified backend (Measure.error_bound > 0) so dense runs keep
+(* Sparse-measure error telemetry, resolved only when the measure is
+   ε-sparsified (Measure.error_bound > 0) so dense runs keep
    their metric snapshots byte-identical. *)
 type etel = { e_bound : float; g_failed_error : Metrics.gauge }
 
@@ -596,9 +596,9 @@ let run_frame t rng ~inject_slot =
   let total = Intvec.length t.live + fq in
   let phi = t.failed_potential in
   let wr = Load_tracker.interference t.failed_tracker in
-  (* Sparse-backend auditability: the dense failed-buffer interference
+  (* Sparse-measure auditability: the dense failed-buffer interference
      exceeds [wr] by at most error_bound · ‖R‖∞ where R is the current
-     failed-buffer load. Computed only when the backend has nonzero
+     failed-buffer load. Computed only when the measure has nonzero
      slack, so dense frames are untouched. *)
   (match t.etel with
   | None -> ()

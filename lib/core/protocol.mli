@@ -155,7 +155,7 @@ type t
     tracker; results are byte-identical whatever it is
     (docs/PARALLELISM.md).
 
-    When the measure is a sparse backend
+    When the measure is ε-sparsified
     ([Dps_interference.Measure.error_bound > 0]) and telemetry is
     enabled, every frame sets the gauge
     [protocol.failed_interference.error_bound] to

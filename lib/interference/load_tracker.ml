@@ -1,8 +1,6 @@
 module Par = Dps_par.Par
 module Intvec = Dps_prelude.Intvec
 
-type backing = Measure.t
-
 type t = {
   measure : Measure.t;
   jobs : int;  (* default fan-out for stale rescans *)

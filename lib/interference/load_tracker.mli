@@ -8,10 +8,8 @@
     O(1) amortized (a query after the cached argmax row decreased rescans
     the touched rows — the epoch scan; rows never touched are exactly 0).
 
-    The backend is whatever {!Measure.t} wraps: the dense CSR/CSC packing
-    or an external sparse engine ({!Tiled.as_measure}) — the tracker only
-    ever asks for columns, so it is exact for both and is the single
-    implementation behind {!Tracker_intf.S}.
+    The tracker only ever asks the measure for columns, so it is exact on
+    every measure, dense or ε-sparsified ({!Tiled.as_measure}).
 
     Stale-epoch rescans can fan out over {!Dps_par.Par} when the tracker
     was created with [jobs > 1] (or per query via [?jobs]): the touched
@@ -28,17 +26,15 @@
 
 type t
 
-(** The backend type, for {!Tracker_intf.S} conformance. *)
-type backing = Measure.t
-
 (** A fresh tracker over the all-zero load. Updates read the link's
     {!Measure.column}, which the measure keeps and shares with every
-    other tracker over it (a dense measure builds its CSC index on the
-    first request, O(m + nnz) once; the tiled engine builds just that
-    column). The tracker itself holds no column data. [jobs] (default 1) is
-    the fan-out for stale rescans; [par_threshold] (default 4096) is the
-    touched-row count below which rescans stay sequential even when
-    [jobs > 1]. Raises [Invalid_argument] on [jobs < 1]. *)
+    other tracker over it (a measure without a window builds its column
+    index on the first request, O(m + nnz) once; a tiled measure builds
+    just that column). The tracker itself holds no column data. [jobs]
+    (default 1) is the fan-out for stale rescans; [par_threshold]
+    (default 4096) is the touched-row count below which rescans stay
+    sequential even when [jobs > 1]. Raises [Invalid_argument] on
+    [jobs < 1]. *)
 val create : ?jobs:int -> ?par_threshold:int -> Measure.t -> t
 
 (** [of_load measure r] starts from load [r]. Raises [Invalid_argument]
@@ -73,7 +69,7 @@ val load_vector : t -> float array
 
 (** [‖R‖∞] of the current load (max over links touched since the last
     reset; never below [0.]). O(touched links) — pairs with
-    {!Measure.error_bound} to bound a sparse backend's slack:
+    {!Measure.error_bound} to bound a sparse measure's slack:
     the dense interference exceeds {!interference} by at most
     [Measure.error_bound m ·  max_load t]. *)
 val max_load : t -> float

@@ -1,115 +1,113 @@
-(* Two backends behind one measure type.
+(* One representation for every measure: CSR rows in Bigarray slabs.
 
-   Dense: CSR-packed sparse matrix — rows are contiguous slices of flat
-   arrays. Row e spans [row_ptr.(e), row_ptr.(e+1)) in col_idx/weights,
-   with col_idx sorted ascending inside each row and the diagonal always
-   present. The transposed (CSC) index is built lazily on first column
-   access — it is only needed by incremental consumers (Load_tracker).
+   Row e spans [row_ptr.(e), row_ptr.(e+1)) in [cols]/[weights], with
+   column ids strictly ascending inside the row and the diagonal always
+   present. [row_error.(e)] is how far the row may fall below the matrix
+   it approximates: 0 from the dense constructors, the dropped mass from
+   the ε-sparsified tiled build.
 
-   Columns are handed out as [column] views: for dense, a slice of the
-   transpose, made once per column and kept next to it; for an external
-   backend, whatever its [column] closure returns (the tiled engine
-   builds a column on its first request and keeps it, one store per
-   engine). Either way a repeated request returns the same view without
-   allocating, so every Load_tracker over one measure shares its columns
-   and reads the arrays directly.
+   Columns are handed out as [column] views, made on the first request
+   and kept in [columns], so a repeated request returns the same view
+   without allocating and every Load_tracker over one measure shares its
+   columns. How an unkept column is built is the one thing the data
+   decides:
+   - without a [window] any row may hold any column, so the first
+     request builds the CSC transpose (O(m + nnz), once) and every
+     column is a slice of it;
+   - with a window (the tiled build) only the rows of the tiles within
+     [radius] of the column's tile can hold it; each is binary-searched
+     and only that column is built. A full index of the tiled slabs
+     measured +13% peak RSS on the cloud benchmark (docs/SCALING.md).
+   Either way a column lists its rows ascending, the order of the dense
+   transpose, so incremental consumers sum in the same float order and
+   an exact tiled measure stays byte-identical to the dense one. *)
 
-   Ext:a closure record delegating every operation to an external
-   backend (Tiled.as_measure wraps the ε-sparsified slab engine this
-   way). The ext arm exists so the whole protocol stack — trackers,
-   static algorithms, adversaries, calibration — runs on the sparse
-   engine without densifying; the backend contract mirrors the dense
-   semantics exactly, column iteration in ascending link-id order
-   included, so an exact (ε = 0) ext measure is byte-identical to its
-   dense counterpart under every consumer. The only addition is the
-   recorded [error_bound]: dense measures are exact (0), ext measures
-   may underestimate any (W·R)(e) by at most row_error(e)·‖R‖∞. *)
+module Tiling = Dps_geometry.Tiling
+module A1 = Bigarray.Array1
 
+type ids = (int32, Bigarray.int32_elt, Bigarray.c_layout) A1.t
+type wts = (float, Bigarray.float64_elt, Bigarray.c_layout) A1.t
 type column = { rows : int array; weights : float array; lo : int; hi : int }
 
-type transpose = {
+type csc = {
   col_ptr : int array;  (* length m+1 *)
-  row_idx : int array;  (* length nnz; sorted ascending inside a column *)
+  row_idx : int array;  (* length nnz; ascending inside a column *)
   col_weights : float array;
-  views : column array;  (* per-column view, [unfetched] until requested *)
 }
 
-(* Placeholder for a view not made yet (every real column holds at least
-   the diagonal). *)
-let unfetched = { rows = [||]; weights = [||]; lo = 0; hi = 0 }
-
-type dense = {
+type t = {
   m : int;
   row_ptr : int array;  (* length m+1 *)
-  col_idx : int array;  (* length nnz *)
-  weights : float array;  (* length nnz *)
-  mutable transposed : transpose option;
+  cols : ids;
+  weights : wts;
+  row_error : float array;
+  error_bound : float;  (* largest row_error *)
+  window : (Tiling.t * int) option;
+  columns : column array;  (* [unfetched] until requested *)
+  mutable csc : csc option;  (* built on demand when there is no window *)
 }
 
-type ext = {
-  e_m : int;
-  e_nnz : unit -> int;
-  e_row_nnz : int -> int;
-  e_iter_row : int -> (int -> float -> unit) -> unit;
-  e_weight : int -> int -> float;
-  e_column : int -> column;
-  e_interference_at : float array -> int -> float;
-  e_interference : float array -> float;
-  e_max_row_sum : unit -> float;
-  e_error_bound : float;
-  e_row_error : int -> float;
+(* Placeholder for a column not built yet (every real column holds at
+   least the diagonal). *)
+let unfetched = { rows = [||]; weights = [||]; lo = 0; hi = 0 }
+
+let make ?window ~row_ptr ~cols ~weights ~row_error () =
+  let m = Array.length row_ptr - 1 in
+  { m;
+    row_ptr;
+    cols;
+    weights;
+    row_error;
+    error_bound = Array.fold_left Float.max 0. row_error;
+    window;
+    columns = Array.make m unfetched;
+    csc = None }
+
+let size t = t.m
+let nnz t = t.row_ptr.(t.m)
+let error_bound t = t.error_bound
+let row_error t e = t.row_error.(e)
+
+(* ------------------------------------------------------ construction *)
+
+(* A fresh slab of length [n] that starts with [a]'s first entries. *)
+let resize a n =
+  let b = A1.create (A1.kind a) Bigarray.c_layout (Int.max n 1) in
+  let k = Int.min n (A1.dim a) in
+  A1.blit (A1.sub a 0 k) (A1.sub b 0 k);
+  b
+
+(* Rows appended in order, ids ascending inside each, into slabs that
+   double when full: the dense constructors' common path. *)
+type buffer = {
+  ptr : int array;
+  mutable b_cols : ids;
+  mutable b_wts : wts;
+  mutable len : int;
 }
 
-type t = Dense of dense | Ext of ext
+let buffer m ~cap =
+  { ptr = Array.make (m + 1) 0;
+    b_cols = A1.create Bigarray.int32 Bigarray.c_layout (Int.max cap 1);
+    b_wts = A1.create Bigarray.float64 Bigarray.c_layout (Int.max cap 1);
+    len = 0 }
 
-let size = function Dense d -> d.m | Ext e -> e.e_m
+let push b e' w =
+  if b.len = A1.dim b.b_cols then begin
+    b.b_cols <- resize b.b_cols (2 * b.len);
+    b.b_wts <- resize b.b_wts (2 * b.len)
+  end;
+  b.b_cols.{b.len} <- Int32.of_int e';
+  b.b_wts.{b.len} <- w;
+  b.len <- b.len + 1
 
-let nnz = function Dense d -> d.row_ptr.(d.m) | Ext e -> e.e_nnz ()
+let end_row b e = b.ptr.(e + 1) <- b.len
 
-let is_dense = function Dense _ -> true | Ext _ -> false
-
-let error_bound = function Dense _ -> 0. | Ext e -> e.e_error_bound
-
-let row_error t e' =
-  match t with Dense _ -> 0. | Ext e -> e.e_row_error e'
-
-let of_ext ~m ~nnz ~row_nnz ~iter_row ~weight ~column ~interference_at
-    ~interference ~max_row_sum ~error_bound ~row_error () =
-  if m <= 0 then invalid_arg "Measure.of_ext: m must be > 0";
-  if not (error_bound >= 0.) then
-    invalid_arg "Measure.of_ext: error_bound must be >= 0";
-  Ext
-    { e_m = m;
-      e_nnz = nnz;
-      e_row_nnz = row_nnz;
-      e_iter_row = iter_row;
-      e_weight = weight;
-      e_column = column;
-      e_interference_at = interference_at;
-      e_interference = interference;
-      e_max_row_sum = max_row_sum;
-      e_error_bound = error_bound;
-      e_row_error = row_error }
-
-(* Pack validated sorted rows ((e', w) pairs) into CSR. *)
-let pack m rows =
-  let nnz = Array.fold_left (fun acc r -> acc + Array.length r) 0 rows in
-  let row_ptr = Array.make (m + 1) 0 in
-  let col_idx = Array.make (Int.max nnz 1) 0 in
-  let weights = Array.make (Int.max nnz 1) 0. in
-  let k = ref 0 in
-  Array.iteri
-    (fun e r ->
-      row_ptr.(e) <- !k;
-      Array.iter
-        (fun (e', w) ->
-          col_idx.(!k) <- e';
-          weights.(!k) <- w;
-          incr k)
-        r)
-    rows;
-  row_ptr.(m) <- !k;
-  { m; row_ptr; col_idx; weights; transposed = None }
+let finish b =
+  let trim a = if A1.dim a = Int.max b.len 1 then a else resize a b.len in
+  make ~row_ptr:b.ptr ~cols:(trim b.b_cols) ~weights:(trim b.b_wts)
+    ~row_error:(Array.make (Array.length b.ptr - 1) 0.)
+    ()
 
 let normalize_row m e entries =
   let tbl = Hashtbl.create (List.length entries + 1) in
@@ -138,207 +136,217 @@ let of_rows ?m rows =
          m)
   | _ -> ());
   if n = 0 then invalid_arg "Measure: of_rows needs at least one row";
-  Dense (pack n (Array.mapi (normalize_row n) rows))
+  let rows = Array.mapi (normalize_row n) rows in
+  let b =
+    buffer n ~cap:(Array.fold_left (fun acc r -> acc + Array.length r) 0 rows)
+  in
+  Array.iteri
+    (fun e r ->
+      Array.iter (fun (e', w) -> push b e' w) r;
+      end_row b e)
+    rows;
+  finish b
 
 let identity m =
   assert (m > 0);
-  Dense
-    { m;
-      row_ptr = Array.init (m + 1) Fun.id;
-      col_idx = Array.init m Fun.id;
-      weights = Array.make m 1.;
-      transposed = None }
+  let b = buffer m ~cap:m in
+  for e = 0 to m - 1 do
+    push b e 1.;
+    end_row b e
+  done;
+  finish b
 
 let complete m =
   assert (m > 0);
-  Dense
-    { m;
-      row_ptr = Array.init (m + 1) (fun e -> e * m);
-      col_idx = Array.init (m * m) (fun k -> k mod m);
-      weights = Array.make (m * m) 1.;
-      transposed = None }
+  let b = buffer m ~cap:(m * m) in
+  for e = 0 to m - 1 do
+    for e' = 0 to m - 1 do
+      push b e' 1.
+    done;
+    end_row b e
+  done;
+  finish b
 
 let of_function ~m f =
   assert (m > 0);
-  (* Single pass into growable flat buffers: [f] may be expensive
-     (e.g. SINR affectance), so it is called exactly once per pair. *)
-  let cap = ref (4 * m) in
-  let col_idx = ref (Array.make !cap 0) in
-  let weights = ref (Array.make !cap 0.) in
-  let k = ref 0 in
-  let push e' w =
-    if !k = !cap then begin
-      let cap' = 2 * !cap in
-      let ci = Array.make cap' 0 and ws = Array.make cap' 0. in
-      Array.blit !col_idx 0 ci 0 !k;
-      Array.blit !weights 0 ws 0 !k;
-      col_idx := ci;
-      weights := ws;
-      cap := cap'
-    end;
-    !col_idx.(!k) <- e';
-    !weights.(!k) <- w;
-    incr k
-  in
-  let row_ptr = Array.make (m + 1) 0 in
+  (* One pass into growing slabs: [f] may be expensive (e.g. SINR
+     affectance), so it is called exactly once per pair. *)
+  let b = buffer m ~cap:(4 * m) in
   for e = 0 to m - 1 do
-    row_ptr.(e) <- !k;
     for e' = 0 to m - 1 do
-      let w = if e' = e then 1. else Float.min 1. (Float.max 0. (f e e')) in
-      if w > 0. then push e' w
-    done
+      let w =
+        if e' = e then 1.
+        else
+          let w = f e e' in
+          (* a NaN survives the clamp below and fails [w > 0.], which
+             would drop the entry without a word *)
+          if Float.is_nan w then
+            invalid_arg "Measure.of_function: f returned NaN";
+          Float.min 1. (Float.max 0. w)
+      in
+      if w > 0. then push b e' w
+    done;
+    end_row b e
   done;
-  row_ptr.(m) <- !k;
-  Dense
-    { m;
-      row_ptr;
-      col_idx = Array.sub !col_idx 0 (Int.max !k 1);
-      weights = Array.sub !weights 0 (Int.max !k 1);
-      transposed = None }
+  finish b
 
-let row_nnz t e =
-  match t with
-  | Dense d -> d.row_ptr.(e + 1) - d.row_ptr.(e)
-  | Ext x -> x.e_row_nnz e
+let of_csr ?window ~row_ptr ~cols ~weights ~row_error () =
+  let fail what = invalid_arg ("Measure.of_csr: " ^ what) in
+  let m = Array.length row_ptr - 1 in
+  if m < 1 then fail "no rows";
+  if Array.length row_error <> m then fail "row_error length differs from m";
+  if row_ptr.(0) <> 0 || A1.dim weights <> A1.dim cols then
+    fail "row_ptr and slabs disagree";
+  (match window with
+  | Some (tiling, _) when Tiling.point_count tiling <> m ->
+    fail "window tiles other links"
+  | _ -> ());
+  for e = 0 to m - 1 do
+    if row_ptr.(e + 1) < row_ptr.(e) || row_ptr.(e + 1) > A1.dim cols then
+      fail "row_ptr and slabs disagree";
+    if not (row_error.(e) >= 0.) then fail "row_error below 0";
+    let prev = ref (-1) and diagonal = ref false in
+    for k = row_ptr.(e) to row_ptr.(e + 1) - 1 do
+      let e' = Int32.to_int cols.{k} and w = weights.{k} in
+      if e' <= !prev || e' >= m then fail "ids not ascending inside [0, m)";
+      if not (w > 0. && w <= 1.) then fail "weight outside (0, 1]";
+      if e' = e then diagonal := w = 1.;
+      prev := e'
+    done;
+    if not !diagonal then fail "diagonal missing or not 1"
+  done;
+  make ?window ~row_ptr ~cols ~weights ~row_error ()
+
+(* --------------------------------------------------------------- rows *)
+
+let row_nnz t e = t.row_ptr.(e + 1) - t.row_ptr.(e)
 
 let iter_row t e f =
-  match t with
-  | Dense d ->
-    for k = d.row_ptr.(e) to d.row_ptr.(e + 1) - 1 do
-      f d.col_idx.(k) d.weights.(k)
-    done
-  | Ext x -> x.e_iter_row e f
+  for k = t.row_ptr.(e) to t.row_ptr.(e + 1) - 1 do
+    f (Int32.to_int t.cols.{k}) t.weights.{k}
+  done
 
-let row t e =
-  match t with
-  | Dense d ->
-    Array.init
-      (d.row_ptr.(e + 1) - d.row_ptr.(e))
-      (fun i ->
-        let k = d.row_ptr.(e) + i in
-        (d.col_idx.(k), d.weights.(k)))
-  | Ext x ->
-    let out = Array.make (x.e_row_nnz e) (0, 0.) in
-    let i = ref 0 in
-    x.e_iter_row e (fun e' w ->
-        out.(!i) <- (e', w);
-        incr i);
-    out
+(* Slab offset of entry [e'] in row [e], or -1: rows are sorted by link
+   id, so binary search inside the row. *)
+let find t e e' =
+  let rec search lo hi =
+    if lo > hi then -1
+    else
+      let mid = (lo + hi) / 2 in
+      let id = Int32.to_int t.cols.{mid} in
+      if id = e' then mid
+      else if id < e' then search (mid + 1) hi
+      else search lo (mid - 1)
+  in
+  search t.row_ptr.(e) (t.row_ptr.(e + 1) - 1)
 
 let weight t e e' =
-  match t with
-  | Dense d ->
-    (* Rows are sorted by link id: binary search inside the row slice. *)
-    let rec search lo hi =
-      if lo > hi then 0.
-      else
-        let mid = (lo + hi) / 2 in
-        let id = d.col_idx.(mid) in
-        if id = e' then d.weights.(mid)
-        else if id < e' then search (mid + 1) hi
-        else search lo (mid - 1)
-    in
-    search d.row_ptr.(e) (d.row_ptr.(e + 1) - 1)
-  | Ext x -> x.e_weight e e'
+  let k = find t e e' in
+  if k < 0 then 0. else t.weights.{k}
+
+let check_load who t load =
+  if Array.length load <> t.m then invalid_arg (who ^ ": load length mismatch")
+
+(* Row [e] against [load], in ascending column order. The unchecked
+   reads stay in range: every constructor leaves the ids in [0, m) and
+   the rows inside the slabs ([of_csr] checks both), and the callers
+   check the length of [load]. *)
+let[@inline] dot t load e =
+  let acc = ref 0. in
+  for k = t.row_ptr.(e) to t.row_ptr.(e + 1) - 1 do
+    let c = Int32.to_int (A1.unsafe_get t.cols k) in
+    acc := !acc +. (A1.unsafe_get t.weights k *. Array.unsafe_get load c)
+  done;
+  !acc
+
+let interference_at t load e =
+  check_load "Measure.interference_at" t load;
+  dot t load e
+
+let interference t load =
+  check_load "Measure.interference" t load;
+  let best = ref 0. in
+  for e = 0 to t.m - 1 do
+    let v = dot t load e in
+    if v > !best then best := v
+  done;
+  !best
+
+let max_row_sum t =
+  let best = ref 0. in
+  for e = 0 to t.m - 1 do
+    let s = ref 0. in
+    for k = t.row_ptr.(e) to t.row_ptr.(e + 1) - 1 do
+      s := !s +. t.weights.{k}
+    done;
+    if !s > !best then best := !s
+  done;
+  !best
+
+(* ------------------------------------------------------------ columns *)
 
 (* CSR -> CSC by counting sort: scanning rows in order scatters each
    column's row indices already sorted. *)
-let dense_transpose d =
-  match d.transposed with
-  | Some tr -> tr
+let transpose t =
+  match t.csc with
+  | Some csc -> csc
   | None ->
-    let n = d.row_ptr.(d.m) in
-    let col_ptr = Array.make (d.m + 1) 0 in
+    let n = nnz t in
+    let col_ptr = Array.make (t.m + 1) 0 in
     for k = 0 to n - 1 do
-      let c = d.col_idx.(k) in
+      let c = Int32.to_int t.cols.{k} in
       col_ptr.(c + 1) <- col_ptr.(c + 1) + 1
     done;
-    for c = 1 to d.m do
+    for c = 1 to t.m do
       col_ptr.(c) <- col_ptr.(c) + col_ptr.(c - 1)
     done;
     let next = Array.copy col_ptr in
     let row_idx = Array.make (Int.max n 1) 0 in
     let col_weights = Array.make (Int.max n 1) 0. in
-    for e = 0 to d.m - 1 do
-      for k = d.row_ptr.(e) to d.row_ptr.(e + 1) - 1 do
-        let c = d.col_idx.(k) in
+    for e = 0 to t.m - 1 do
+      for k = t.row_ptr.(e) to t.row_ptr.(e + 1) - 1 do
+        let c = Int32.to_int t.cols.{k} in
         let slot = next.(c) in
         row_idx.(slot) <- e;
-        col_weights.(slot) <- d.weights.(k);
+        col_weights.(slot) <- t.weights.{k};
         next.(c) <- slot + 1
       done
     done;
-    let tr =
-      { col_ptr; row_idx; col_weights; views = Array.make d.m unfetched }
-    in
-    d.transposed <- Some tr;
-    tr
+    let csc = { col_ptr; row_idx; col_weights } in
+    t.csc <- Some csc;
+    csc
 
-let ensure_transpose = function
-  | Dense d -> ignore (dense_transpose d)
-  | Ext _ -> ()
+let ensure_transpose t = if Option.is_none t.window then ignore (transpose t)
+
+let window_column t (tiling, radius) e' =
+  let hits = ref [] in
+  Tiling.iter_window tiling (Tiling.tile_of tiling e') ~radius (fun b ->
+      Tiling.iter_members tiling b (fun e ->
+          let k = find t e e' in
+          if k >= 0 then hits := (e, t.weights.{k}) :: !hits));
+  let hits = Array.of_list !hits in
+  Array.sort (fun (a, _) (b, _) -> Int.compare a b) hits;
+  { rows = Array.map fst hits;
+    weights = Array.map snd hits;
+    lo = 0;
+    hi = Array.length hits }
 
 (* A racing first request from two domains stores two equal views, one
    of which stays: no answer depends on which. *)
 let column t e' =
-  match t with
-  | Dense d ->
-    let tr = dense_transpose d in
-    let c = tr.views.(e') in
-    if c != unfetched then c
-    else begin
-      let c =
-        { rows = tr.row_idx;
-          weights = tr.col_weights;
-          lo = tr.col_ptr.(e');
-          hi = tr.col_ptr.(e' + 1) }
-      in
-      tr.views.(e') <- c;
-      c
-    end
-  | Ext x -> x.e_column e'
-
-let iter_column t e' f =
-  let c = column t e' in
-  for k = c.lo to c.hi - 1 do
-    f c.rows.(k) c.weights.(k)
-  done
-
-let interference_at t load e =
-  match t with
-  | Dense d ->
-    assert (Array.length load = d.m);
-    let acc = ref 0. in
-    for k = d.row_ptr.(e) to d.row_ptr.(e + 1) - 1 do
-      acc := !acc +. (d.weights.(k) *. load.(d.col_idx.(k)))
-    done;
-    !acc
-  | Ext x -> x.e_interference_at load e
-
-let interference t load =
-  match t with
-  | Dense d ->
-    let best = ref 0. in
-    for e = 0 to d.m - 1 do
-      let v = interference_at t load e in
-      if v > !best then best := v
-    done;
-    !best
-  | Ext x -> x.e_interference load
-
-let interference_of_counts t counts =
-  interference t (Array.map float_of_int counts)
-
-let max_row_sum t =
-  match t with
-  | Dense d ->
-    let best = ref 0. in
-    for e = 0 to d.m - 1 do
-      let s = ref 0. in
-      for k = d.row_ptr.(e) to d.row_ptr.(e + 1) - 1 do
-        s := !s +. d.weights.(k)
-      done;
-      if !s > !best then best := !s
-    done;
-    !best
-  | Ext x -> x.e_max_row_sum ()
+  let c = t.columns.(e') in
+  if c != unfetched then c
+  else begin
+    let c =
+      match t.window with
+      | Some window -> window_column t window e'
+      | None ->
+        let csc = transpose t in
+        { rows = csc.row_idx;
+          weights = csc.col_weights;
+          lo = csc.col_ptr.(e');
+          hi = csc.col_ptr.(e' + 1) }
+    in
+    t.columns.(e') <- c;
+    c
+  end

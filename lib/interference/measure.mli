@@ -11,24 +11,18 @@
     channel (all ones), SINR affectance matrices ({!Dps_sinr.Sinr_measure}),
     and conflict graphs ({!Conflict_graph.to_measure}).
 
-    Rows are stored sparsely (zero entries dropped) in a CSR packing —
-    one flat id array and one flat weight array per matrix — so
-    conflict-graph measures stay linear in the number of conflicts and row
-    scans are cache-friendly. A transposed (CSC) index is materialized
-    lazily the first time a column is scanned; {!Load_tracker} uses it to
-    push single-link load changes to the affected rows in
-    O(nnz(column)).
+    Every measure has one representation: rows stored sparsely (zero
+    entries dropped) in a CSR packing over two flat Bigarray slabs, int32
+    column ids and float64 weights, so conflict-graph measures stay
+    linear in the number of conflicts and row scans are cache-friendly.
+    Each row also records an error bound ({!row_error}): how far its
+    answers may fall below the dense matrix it approximates. The dense
+    constructors below record 0; the ε-sparsified tiled build
+    ({!Tiled.create}) records each row's dropped mass.
 
-    A measure may also wrap an {e external} backend ({!of_ext}): a record
-    of closures delegating every operation, used by {!Tiled.as_measure} to
-    run the whole protocol stack on the ε-sparsified slab engine without
-    densifying. External backends follow the same semantics — column
-    iteration in ascending link-id order included, so an exact (ε = 0)
-    external measure behaves byte-identically to its dense equivalent —
-    and additionally record an {!error_bound}: how far below the true
-    dense value their interference answers may fall. An external backend
-    need keep no full column index: it builds each {!column} on its
-    first request and keeps it. *)
+    Columns are built on their first request and kept once per measure;
+    {!Load_tracker} reads them to push single-link load changes to the
+    affected rows in O(nnz(column)). *)
 
 type t
 
@@ -44,7 +38,8 @@ val complete : int -> t
 
 (** [of_function ~m f] materializes [W(e, e') = f e e'] for all pairs,
     dropping zeros and clamping into [0, 1]. The diagonal is forced to [1]
-    as the model requires. O(m²). *)
+    as the model requires and never requested. O(m²). Raises
+    [Invalid_argument] if [f] returns NaN. *)
 val of_function : m:int -> (int -> int -> float) -> t
 
 (** [of_rows ?m rows] builds the measure from explicit sparse rows:
@@ -57,104 +52,91 @@ val of_function : m:int -> (int -> int -> float) -> t
     row, or weights outside (0, 1] (NaN included). *)
 val of_rows : ?m:int -> (int * float) list array -> t
 
-(** [weight t e e'] is [W(e, e')] ([0.] where absent). *)
+(** [of_csr ?window ~row_ptr ~cols ~weights ~row_error ()] takes the
+    packed rows as they are, without copying (the measure owns the
+    arrays from then on: do not write to them): row [e] spans
+    [[row_ptr.(e), row_ptr.(e + 1))] of [cols] and [weights], ids
+    strictly ascending, the diagonal present with weight 1, every weight
+    in (0, 1]. [row_error.(e) >= 0] bounds the row's dropped mass: for
+    every load [R >= 0] the matrix this one approximates exceeds
+    [(W·R)(e)] by at most [row_error.(e) · ‖R‖∞].
+
+    [window = (tiling, radius)] records that the rows are local: link
+    [e] is point [e] of [tiling], and row [e] stores only columns within
+    chebyshev tile distance [radius] of its own tile. A column is then
+    built from the rows of the tiles within [radius] of it, and the
+    measure keeps no full column index. Locality is the caller's
+    promise, not checked (it would cost a tenth of a tiled build): an
+    entry beyond the window would be missing from its column. Raises
+    [Invalid_argument] when anything else above does not hold. *)
+val of_csr :
+  ?window:Dps_geometry.Tiling.t * int ->
+  row_ptr:int array ->
+  cols:(int32, Bigarray.int32_elt, Bigarray.c_layout) Bigarray.Array1.t ->
+  weights:(float, Bigarray.float64_elt, Bigarray.c_layout) Bigarray.Array1.t ->
+  row_error:float array ->
+  unit ->
+  t
+
+(** [weight t e e'] is [W(e, e')] ([0.] where absent). O(log row_nnz). *)
 val weight : t -> int -> int -> float
 
 (** Stored entries (nonzeros) in the whole matrix. *)
 val nnz : t -> int
 
-(** [row t e] is the sparse row of [e]: pairs [(e', W(e, e'))], including
-    the diagonal. Allocates a fresh array; hot paths should use
-    {!iter_row}. *)
-val row : t -> int -> (int * float) array
-
 (** Stored entries in row [e]. *)
 val row_nnz : t -> int -> int
 
 (** [iter_row t e f] calls [f e' w] for every stored [W(e, e') = w],
-    in ascending [e'] order, without allocating. *)
+    in ascending [e'] order. *)
 val iter_row : t -> int -> (int -> float -> unit) -> unit
 
-(** [ensure_transpose t] — build the CSC index now if it does not exist
-    yet (idempotent, O(m + nnz)). The lazy build mutates a dense [t], so
-    a measure shared by several domains must be forced {e before} the
-    fan-out — [Driver.run_many] does this for the measure inside its
-    config; call it yourself when handing a fresh measure to your own
-    parallel tasks (docs/PARALLELISM.md). External backends fill their
-    column store one column at a time, safely from any domain: a
-    no-op. *)
+(** [ensure_transpose t] — build the column index now if the measure
+    builds its columns from one and it does not exist yet (idempotent,
+    O(m + nnz)). The lazy build mutates [t], so a measure shared by
+    several domains must be forced {e before} the fan-out —
+    [Driver.run_many] does this for the measure inside its config; call
+    it yourself when handing a fresh measure to your own parallel tasks
+    (docs/PARALLELISM.md). A measure with a window ({!of_csr}) builds
+    each column alone, safely from any domain: a no-op. *)
 val ensure_transpose : t -> unit
 
 (** One column of [W]: the stored entries [W(rows.(k), e') =
     weights.(k)] for [k] in [[lo, hi)], rows ascending. The arrays may be
-    shared with the measure (a dense column is a slice of the transpose):
+    shared with the measure (a column may be a slice of the transpose):
     read-only. *)
 type column = { rows : int array; weights : float array; lo : int; hi : int }
 
-(** [column t e'] — column [e'] as a {!column} view (forces a dense
-    transpose; an external backend builds it on demand). The first
-    request for a column makes its view and the measure keeps it, so
-    later requests return the same view without allocating, and every
-    consumer of one measure shares one copy of each column. *)
+(** [column t e'] — column [e'] as a {!column} view. The first request
+    builds it: a slice of the column index, itself built on the first
+    request (O(m + nnz), once), or for a measure with a window, from the
+    window's rows alone (O(window rows · log row_nnz)). The measure keeps
+    it, so later requests return the same view without allocating, and
+    every consumer of one measure shares one copy of each column. Rows
+    come in ascending order either way, so incremental consumers sum in
+    the same float order whichever way the column was built. *)
 val column : t -> int -> column
 
-(** [iter_column t e' f] calls [f e w] for every stored [W(e, e') = w] —
-    the rows a load change on link [e'] affects — in ascending [e] order.
-    The first call builds the CSC transpose in O(m + nnz); later calls
-    reuse it. *)
-val iter_column : t -> int -> (int -> float -> unit) -> unit
-
-(** [interference_at t load e] is [(W · load)(e)]. [load] must have length
+(** [interference_at t load e] is [(W · load)(e)], summed in ascending
+    column order. Raises [Invalid_argument] unless [load] has length
     [m]. *)
 val interference_at : t -> float array -> int -> float
 
-(** [interference t load] is [I = ||W · load||_inf]. *)
+(** [interference t load] is [I = ||W · load||_inf]; it allocates
+    nothing but its result. Raises [Invalid_argument] unless [load] has
+    length [m]. *)
 val interference : t -> float array -> float
-
-(** [interference_of_counts t counts] — same with integer per-link packet
-    counts. *)
-val interference_of_counts : t -> int array -> float
 
 (** Largest row sum [max_e Σ_e' W(e, e')]; an upper bound on the measure of
     a unit load on every link. *)
 val max_row_sum : t -> float
 
-(** [of_ext ~m … ()] wraps an external interference backend as a measure.
-    Every closure must honour the dense contract documented on the
-    corresponding accessor above; in particular [iter_row]/[iter_column]
-    must visit entries in ascending id order, rows ascending inside a
-    [column], and [column] must be safe to call from several domains at
-    once and, once a column has been requested, return it again without
-    allocating.
-    [error_bound] is the backend's global slack: for any load vector [R],
-    the true dense interference exceeds the backend's answer by at most
-    [error_bound · ||R||_inf] (per-row refinement via [row_error]).
-    Raises [Invalid_argument] if [m <= 0] or [error_bound < 0]. *)
-val of_ext :
-  m:int ->
-  nnz:(unit -> int) ->
-  row_nnz:(int -> int) ->
-  iter_row:(int -> (int -> float -> unit) -> unit) ->
-  weight:(int -> int -> float) ->
-  column:(int -> column) ->
-  interference_at:(float array -> int -> float) ->
-  interference:(float array -> float) ->
-  max_row_sum:(unit -> float) ->
-  error_bound:float ->
-  row_error:(int -> float) ->
-  unit ->
-  t
-
-(** Whether this measure is backed by the dense CSR packing (true) or an
-    external backend (false). Dense measures are exact; sparse scenario
-    builds assert on this to prove no densification happened. *)
-val is_dense : t -> bool
-
-(** Global underestimation slack: the true interference of any load [R]
-    exceeds [interference t R] by at most [error_bound t · ||R||_inf].
-    [0.] for dense measures — their answers are exact. *)
+(** Global underestimation slack: the largest {!row_error}. The true
+    interference of any load [R] exceeds [interference t R] by at most
+    [error_bound t · ||R||_inf]; [0.] for the exact dense constructors. *)
 val error_bound : t -> float
 
-(** [row_error t e] — per-row slack: the dense [(W·R)(e)] exceeds the
-    backend's by at most [row_error t e · ||R||_inf]. [0.] for dense. *)
+(** [row_error t e] — per-row slack: the true [(W·R)(e)] exceeds
+    [interference_at t R e] by at most [row_error t e · ||R||_inf].
+    [0.] for the dense constructors. *)
 val row_error : t -> int -> float

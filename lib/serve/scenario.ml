@@ -68,7 +68,7 @@ let parse_topology s ~stations =
   | [ "mac" ] -> Topology.mac_channel ~stations
   | _ -> failwith "unknown topology (grid:RxC | line:N | random:N | mac)"
 
-let build_model ?sparse ?tile ?(jobs = 1) model g =
+let build_model ?sparse ?tile ?jobs model g =
   match model with
   | Sinr_linear ->
     let phys = Physics.make (Params.make ~noise:1e-9 ()) (Power.linear 2.) g in
@@ -77,14 +77,12 @@ let build_model ?sparse ?tile ?(jobs = 1) model g =
     | Some epsilon ->
       (* The ε-sparsified tiled construction (docs/SCALING.md): same
          protocol downstream, the matrix just underestimates interference
-         by at most ε·||R||_inf. [as_measure] shares the slab engine —
-         no densification ever happens on this path; [to_measure] stays
-         an opt-in escape hatch for dense comparison runs. Built once so
-         every consumer caches per-measure state off one identity. *)
+         by at most ε·||R||_inf. No dense matrix is ever built on this
+         path. *)
       let tiled =
-        Sinr_measure.linear_power_tiled ~jobs ?cell:tile ~epsilon phys
+        Sinr_measure.linear_power_tiled ?jobs ?cell:tile ~epsilon phys
       in
-      (Tiled.as_measure ~jobs tiled, Oracle.Sinr phys, Some tiled))
+      (Tiled.as_measure tiled, Oracle.Sinr phys, Some tiled))
   | _ when sparse <> None ->
     failwith "--sparse is only supported for the sinr-linear model"
   | Sinr_sqrt ->

@@ -55,12 +55,11 @@ type built = {
 (** [build ?jobs spec] — topology, interference model, oracle, algorithm
     and sized protocol config, exactly as dps_run constructs them (same
     seeds, same constants). A sparse spec builds the tiled engine and
-    wraps it via {!Dps_interference.Tiled.as_measure} — the dense matrix
-    is never materialised ([Measure.is_dense] on the result is [false]).
-    [jobs] (default 1) parallelises the tiled construction and is
-    captured as the measure's evaluation fan-out; results never depend
-    on it. Raises [Failure]/[Invalid_argument] with a CLI-worded message
-    on anything inconsistent. *)
+    runs on the measure it packed ({!Dps_interference.Tiled.as_measure})
+    — the dense matrix is never materialised. [jobs] (default 1)
+    parallelises the tiled construction; results never depend on it.
+    Raises [Failure]/[Invalid_argument] with a CLI-worded message on
+    anything inconsistent. *)
 val build : ?jobs:int -> t -> built
 
 (** [parse_topology s ~stations] — dps_run's topology grammar. *)

@@ -54,8 +54,8 @@ let create ?rng ?measure ?telemetry ?faults ?(jobs = 1) ~oracle ~m () =
     match telemetry with
     | Some tl when Telemetry.enabled tl ->
       let reg = Telemetry.metrics tl in
-      (* Sparse-backend auditability: a measured channel whose measure is
-         an ε-sparsified backend underestimates each slot's attempt
+      (* Sparse-measure auditability: a measured channel whose measure is
+         ε-sparsified underestimates each slot's attempt
          interference by at most error_bound · ‖attempts‖∞ =
          error_bound (attempt loads are 0/1). Registered only when the
          slack is nonzero, so dense telemetry output is unchanged. *)

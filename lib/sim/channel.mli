@@ -52,7 +52,7 @@ type faults = {
     keeps its own [fault.*] split). [jobs] (default 1) is the stale-
     rescan fan-out handed to the channel's trackers — results are
     byte-identical whatever it is (docs/PARALLELISM.md). When the
-    measure is a sparse backend ([Measure.error_bound > 0]) and
+    measure is ε-sparsified ([Measure.error_bound > 0]) and
     telemetry is enabled, the one-time gauge
     [channel.interference_error_bound] records how far below the true
     dense value each slot's recorded attempt interference can sit

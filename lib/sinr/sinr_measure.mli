@@ -19,7 +19,7 @@ val linear_power : Physics.t -> Dps_interference.Measure.t
     [min(1, β·p_max / ((d − max_len)^α · tol_min))], where [tol_min] is
     the smallest interference tolerance over links. For every load
     [R ≥ 0] the result underestimates the dense [‖W·R‖∞] by at most
-    [epsilon · ‖R‖∞] (per row: [Tiled.row_bound · ‖R‖∞]); [epsilon = 0.]
+    [epsilon · ‖R‖∞] (per row: [Measure.row_error · ‖R‖∞]); [epsilon = 0.]
     reproduces {!linear_power} entry for entry. O(m · window) instead of
     O(m²) — the construction path for m = 10⁵–10⁶ links. *)
 val linear_power_tiled :

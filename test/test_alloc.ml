@@ -124,10 +124,10 @@ let test_run_frame_decay () =
 
 (* ------------------------------------------------- sparse hot path *)
 
-(* The ext-backed measure (Tiled.as_measure) must obey the same budget
-   as the dense pins above: the protocol cannot tell the backends apart,
-   so neither may the allocator. Same slope construction, on a small
-   link cloud with the real SINR oracle. *)
+(* The tiled measure must obey the same budget as the dense pins above:
+   it differs only in how its columns are built, which the allocator may
+   not see either. Same slope construction, on a small link cloud with
+   the real SINR oracle. *)
 let sparse_fixture () =
   let rng = Rng.create ~seed:5 () in
   let g =
@@ -143,7 +143,6 @@ let sparse_fixture () =
 let test_run_frame_sparse () =
   let tiled, phys = sparse_fixture () in
   let measure = Dps_interference.Tiled.as_measure tiled in
-  M.ensure_transpose measure;
   slope_pin "sinr/oneshot sparse" ~measure ~oracle:(Oracle.Sinr phys)
     ~algorithm:Dps_static.Oneshot.algorithm ~lambda:0.1 ~t1:64
 
@@ -152,12 +151,12 @@ let test_run_frame_sparse () =
    cached argmax is a row of column 3, so taking one packet off link 3
    lowers it and the next query rescans the touched rows (and answers
    1, the diagonal). The tracker reads the measure's kept column views
-   directly, so neither backend allocates a word beyond the query's
-   boxed float result. *)
+   directly, so neither column source allocates a word beyond the
+   query's boxed float result. *)
 let test_sparse_tracker_ops () =
   let module Load_tracker = Dps_interference.Load_tracker in
   let module Tiled = Dps_interference.Tiled in
-  let tiled, _ = sparse_fixture () in
+  let tiled, phys = sparse_fixture () in
   let rounds name w =
     let tr = Load_tracker.create w in
     let queries = 10_000 in
@@ -176,8 +175,36 @@ let test_sparse_tracker_ops () =
     Alcotest.(check (float 0.)) (name ^ ": 10k tracker rounds") 0.
       (measure ops -. float_of_int (2 * queries))
   in
-  rounds "dense" (Tiled.to_measure tiled);
-  rounds "ext" (Tiled.as_measure tiled)
+  rounds "dense" (Dps_sinr.Sinr_measure.linear_power phys);
+  rounds "tiled" (Tiled.as_measure tiled)
+
+(* The whole-vector query (calibration, [Protocol.configure]) sums each
+   row in place: a query allocates its boxed result and nothing per row,
+   whichever constructor built the measure. *)
+let test_interference_query () =
+  let module Conflict_graph = Dps_interference.Conflict_graph in
+  let tiled, _ = sparse_fixture () in
+  let cg =
+    Conflict_graph.distance2
+      (Dps_network.Topology.grid ~rows:6 ~cols:6 ~spacing:10.)
+  in
+  let queries = 1_000 in
+  List.iter
+    (fun (name, w) ->
+      let load = Array.init (M.size w) (fun e -> float_of_int (e mod 3)) in
+      let ops () =
+        for _ = 1 to queries do
+          ignore (Sys.opaque_identity (M.interference w load))
+        done
+      in
+      ops ();
+      Alcotest.(check (float 0.)) (name ^ ": 1k queries") 0.
+        (measure ops -. float_of_int (2 * queries)))
+    [ ("identity", M.identity 2000);
+      ( "conflict graph",
+        Conflict_graph.to_measure cg ~order:(Conflict_graph.degeneracy_order cg)
+      );
+      ("tiled", Dps_interference.Tiled.as_measure tiled) ]
 
 (* SINR adjudication reads the flat physics arrays in place. *)
 let test_busy_slots_sinr () =
@@ -227,9 +254,11 @@ let () =
         [ quick "run_frame slope pin (wireline/oneshot)" test_run_frame_wireline;
           quick "run_frame slope pin (mac/decay)" test_run_frame_decay ] );
       ( "sparse",
-        [ quick "run_frame slope pin (sinr/oneshot, ext backend)"
+        [ quick "run_frame slope pin (sinr/oneshot, tiled measure)"
             test_run_frame_sparse;
-          quick "tracker ops on the ext backend allocate nothing"
+          quick "tracker ops on either column source allocate nothing"
             test_sparse_tracker_ops;
+          quick "whole-vector interference allocates only its result"
+            test_interference_query;
           quick "delay-select rounds allocate nothing per slot"
             test_delay_select_round ] ) ]

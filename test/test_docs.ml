@@ -59,8 +59,7 @@ let test_telemetry_mlis () =
 
 let test_interference_mlis () =
   check_dir "interference"
-    [ "measure"; "load"; "load_tracker"; "tracker_intf"; "conflict_graph";
-      "tiled" ]
+    [ "measure"; "load"; "load_tracker"; "conflict_graph"; "tiled" ]
 
 let test_geometry_mlis () = check_dir "geometry" [ "point"; "placement"; "tiling" ]
 let test_faults_mlis () = check_dir "faults" [ "plan"; "injector" ]

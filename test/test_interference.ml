@@ -33,6 +33,54 @@ let test_of_function_clamps () =
   check_float "clamped low (dropped)" 0. (Measure.weight w 2 0);
   check_float "diagonal forced" 1. (Measure.weight w 2 2)
 
+(* A NaN entry fails as it does in [of_rows] and [Tiled.create]: it
+   would otherwise clamp to NaN, fail [w > 0.] and vanish. *)
+let test_of_function_rejects_nan () =
+  Alcotest.check_raises "NaN entry"
+    (Invalid_argument "Measure.of_function: f returned NaN") (fun () ->
+      ignore
+        (Measure.of_function ~m:3 (fun e e' ->
+             if e = 0 && e' = 1 then Float.nan else 0.5)))
+
+(* [of_csr] takes slabs as they are, so it checks what every accessor
+   relies on. *)
+let test_of_csr_rejects_bad () =
+  let slabs ids ws =
+    ( Bigarray.(Array1.of_array int32 c_layout (Array.map Int32.of_int ids)),
+      Bigarray.(Array1.of_array float64 c_layout ws) )
+  in
+  let build ?window ?(row_error = [| 0.; 0. |]) row_ptr ids ws =
+    let cols, weights = slabs ids ws in
+    ignore (Measure.of_csr ?window ~row_ptr ~cols ~weights ~row_error ())
+  in
+  let rejects name what f =
+    Alcotest.check_raises name (Invalid_argument ("Measure.of_csr: " ^ what)) f
+  in
+  let w =
+    let cols, weights = slabs [| 0; 1; 1 |] [| 1.; 0.5; 1. |] in
+    Measure.of_csr ~row_ptr:[| 0; 2; 3 |] ~cols ~weights
+      ~row_error:[| 0.25; 0. |] ()
+  in
+  check_float "entry" 0.5 (Measure.weight w 0 1);
+  check_float "error bound" 0.25 (Measure.error_bound w);
+  rejects "unsorted ids" "ids not ascending inside [0, m)" (fun () ->
+      build [| 0; 2; 3 |] [| 1; 0; 1 |] [| 0.5; 1.; 1. |]);
+  rejects "id = m" "ids not ascending inside [0, m)" (fun () ->
+      build [| 0; 2; 3 |] [| 0; 2; 1 |] [| 1.; 0.5; 1. |]);
+  rejects "NaN weight" "weight outside (0, 1]" (fun () ->
+      build [| 0; 2; 3 |] [| 0; 1; 1 |] [| 1.; Float.nan; 1. |]);
+  rejects "no diagonal" "diagonal missing or not 1" (fun () ->
+      build [| 0; 1; 2 |] [| 1; 1 |] [| 0.5; 1. |]);
+  rejects "row past the slab" "row_ptr and slabs disagree" (fun () ->
+      build [| 0; 2; 4 |] [| 0; 1; 1 |] [| 1.; 0.5; 1. |]);
+  rejects "negative row error" "row_error below 0" (fun () ->
+      build ~row_error:[| 0.; -0.1 |] [| 0; 1; 2 |] [| 0; 1 |] [| 1.; 1. |]);
+  let one_point =
+    Dps_geometry.Tiling.create ~points:[| Dps_geometry.Point.make 0. 0. |] ()
+  in
+  rejects "window over other links" "window tiles other links" (fun () ->
+      build ~window:(one_point, 1) [| 0; 1; 2 |] [| 0; 1 |] [| 1.; 1. |])
+
 let test_of_rows_diagonal () =
   let w = Measure.of_rows [| [ (1, 0.5) ]; [] |] in
   check_float "explicit entry" 0.5 (Measure.weight w 0 1);
@@ -104,9 +152,10 @@ let test_interference_at () =
   check_float "row 1" 2. (Measure.interference_at w load 1);
   check_float "max row" 4. (Measure.interference w load)
 
-let test_interference_of_counts () =
+let test_count_load () =
   let w = Measure.identity 3 in
-  check_float "counts" 7. (Measure.interference_of_counts w [| 1; 7; 3 |])
+  check_float "counts" 7.
+    (Measure.interference w (Load.of_link_counts 3 [ (0, 1); (1, 7); (2, 3) ]))
 
 let test_max_row_sum () =
   let w = Measure.complete 4 in
@@ -295,11 +344,13 @@ let () =
         [ quick "identity" test_identity_measure;
           quick "complete" test_complete_measure;
           quick "of_function clamps" test_of_function_clamps;
+          quick "of_function rejects NaN" test_of_function_rejects_nan;
+          quick "of_csr rejects bad slabs" test_of_csr_rejects_bad;
           quick "of_rows diagonal" test_of_rows_diagonal;
           quick "of_rows rejects bad input" test_of_rows_rejects_bad;
           quick "of_rows error paths" test_of_rows_error_paths;
           quick "interference_at" test_interference_at;
-          quick "interference of counts" test_interference_of_counts;
+          quick "interference of counts" test_count_load;
           quick "max_row_sum" test_max_row_sum ] );
       ( "load",
         [ quick "of_paths" test_load_of_paths;

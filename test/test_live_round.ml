@@ -74,6 +74,7 @@ let prop_measure_of_live =
 
 (* A plane wide enough that the near window is a small part of it. *)
 let wide = Sinr_measure.linear_power_tiled ~epsilon:0.1 (cloud ~links:3000 12)
+let wide_measure = Tiled.as_measure wide
 
 (* What the on-demand columns rest on: a row stores only columns within
    [near] tiles of its own tile. *)
@@ -84,7 +85,7 @@ let test_window_is_local () =
     (2 * (near + 1) < Dps_geometry.Tiling.nx tiling);
   let tile = Dps_geometry.Tiling.tile_of tiling in
   for e = 0 to Tiled.size wide - 1 do
-    Tiled.iter_row wide e (fun e' _ ->
+    Measure.iter_row wide_measure e (fun e' _ ->
         if Dps_geometry.Tiling.chebyshev tiling (tile e) (tile e') > near then
           Alcotest.failf "row %d stores column %d beyond the near window" e e')
   done
@@ -95,15 +96,17 @@ let test_columns () =
   let m = Tiled.size wide in
   let expect = Array.make m [] in
   for e = m - 1 downto 0 do
-    Tiled.iter_row wide e (fun e' w -> expect.(e') <- (e, w) :: expect.(e'))
+    Measure.iter_row wide_measure e (fun e' w ->
+        expect.(e') <- (e, w) :: expect.(e'))
   done;
   for e' = 0 to m - 1 do
-    let c = Tiled.column wide e' in
+    let c = Measure.column wide_measure e' in
     let got = List.init (c.Measure.hi - c.Measure.lo) (fun i ->
         (c.Measure.rows.(c.Measure.lo + i), c.Measure.weights.(c.Measure.lo + i)))
     in
     if got <> expect.(e') then Alcotest.failf "column %d differs" e';
-    if Tiled.column wide e' != c then Alcotest.failf "column %d rebuilt" e'
+    if Measure.column wide_measure e' != c then
+      Alcotest.failf "column %d rebuilt" e'
   done
 
 (* ------------------------------------------------- vector adjudication *)

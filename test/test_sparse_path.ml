@@ -1,8 +1,9 @@
 (* The end-to-end sparse hot path: the protocol running directly on the
-   tiled engine through [Tiled.as_measure], with no densification.
-   - [Load_tracker] and [Tiled.Tracker] both satisfy [Tracker_intf.S]
-     (compile-time module ascriptions);
-   - at ε = 0 a full protocol run on the as_measure backend is
+   measure the tiled engine packed, with no densification.
+   - at ε = 0 every accessor of the tiled measure equals the dense
+     [Sinr_measure.linear_power] bit for bit, per topology family, and at
+     ε > 0 every window-built column is the transpose of the stored rows;
+   - at ε = 0 a full protocol run on the tiled measure is
      byte-identical to the dense run — report, trajectories and
      telemetry — per topology family;
    - at ε > 0 a run whose config differs only in the measure keeps every
@@ -34,20 +35,6 @@ module Delay_select = Dps_static.Delay_select
 module Scenario = Dps_serve.Scenario
 module Telemetry = Dps_telemetry.Telemetry
 module Memory_sink = Dps_telemetry.Memory_sink
-
-(* ------------------------------------- Tracker_intf conformance pins *)
-
-module _ :
-  Dps_interference.Tracker_intf.S
-    with type t = Load_tracker.t
-     and type backing = Measure.t =
-  Load_tracker
-
-module _ :
-  Dps_interference.Tracker_intf.S
-    with type t = Tiled.Tracker.t
-     and type backing = Tiled.t =
-  Tiled.Tracker
 
 let tolerance = 1e-9
 let bits = Int64.bits_of_float
@@ -85,7 +72,7 @@ let first_feasible ?(algorithm = Delay_select.make ~c:4. ()) ~measure () =
 
 (* ------------------------------- ε = 0 byte-identity, per topology *)
 
-(* Dense measure vs [Tiled.as_measure] at ε = 0: same frame sizing, then
+(* Dense measure vs the tiled one at ε = 0: same frame sizing, then
    a full traced run must agree byte for byte — reports, trajectories
    and every telemetry line. Exercised per topology family since tile
    occupancy (and hence slab layout) differs across them. *)
@@ -93,10 +80,6 @@ let check_zero_eps_identity name phys =
   let dense = Sinr_measure.linear_power phys in
   let tiled = Sinr_measure.linear_power_tiled ~epsilon:0. phys in
   let sparse = Tiled.as_measure tiled in
-  Alcotest.(check bool) (name ^ ": dense is dense") true
-    (Measure.is_dense dense);
-  Alcotest.(check bool) (name ^ ": as_measure is not dense") false
-    (Measure.is_dense sparse);
   Alcotest.(check (float 0.)) (name ^ ": ε=0 error bound") 0.
     (Measure.error_bound sparse);
   let g = Physics.graph phys in
@@ -240,9 +223,10 @@ let prop_rescan_par_bit_identical =
 let test_protocol_jobs_identity () =
   let phys = cloud_phys ~links:24 31 in
   let g = Physics.graph phys in
-  let tiled = Sinr_measure.linear_power_tiled ~epsilon:0.1 phys in
+  let sparse =
+    Tiled.as_measure (Sinr_measure.linear_power_tiled ~epsilon:0.1 phys)
+  in
   let run jobs =
-    let sparse = Tiled.as_measure ~jobs tiled in
     let config, lambda = first_feasible ~measure:sparse () in
     let recorder = Memory_sink.create () in
     let telemetry = Telemetry.make ~sinks:[ Memory_sink.sink recorder ] () in
@@ -278,18 +262,18 @@ let test_scenario_never_densifies () =
       ~rate:0.04 ()
   in
   let built = Scenario.build spec in
-  Alcotest.(check bool) "measure is the tiled backend" false
-    (Measure.is_dense built.Scenario.measure);
   (match built.Scenario.tiled with
   | None -> Alcotest.fail "sparse build must expose the tiled engine"
   | Some tiled ->
+    Alcotest.(check bool) "measure is the one the tiled engine packed" true
+      (built.Scenario.measure == Tiled.as_measure tiled);
     Alcotest.(check (float 0.))
       "error bound is the engine's max row bound"
       (Tiled.max_row_bound tiled)
       (Measure.error_bound built.Scenario.measure);
     Alcotest.(check int) "sizes agree" (Tiled.size tiled)
       (Measure.size built.Scenario.measure));
-  (* The config the protocol will run on carries the same backend — the
+  (* The config the protocol will run on carries the same measure — the
      whole hot path shares the one un-densified measure identity. *)
   Alcotest.(check bool) "config shares the sparse measure" true
     (built.Scenario.config.Protocol.measure == built.Scenario.measure);
@@ -297,54 +281,92 @@ let test_scenario_never_densifies () =
     Scenario.make ~model:"sinr-linear" ~topology:"grid:6x6" ~rate:0.04 ()
   in
   let dense_built = Scenario.build dense_spec in
-  Alcotest.(check bool) "a dense spec still builds dense" true
-    (Measure.is_dense dense_built.Scenario.measure)
+  Alcotest.(check bool) "a dense spec builds no tiled engine" true
+    (dense_built.Scenario.tiled = None);
+  Alcotest.(check (float 0.)) "a dense spec is exact" 0.
+    (Measure.error_bound dense_built.Scenario.measure)
 
-(* The ext accessors must agree with a densified copy entry for entry —
-   the one place [to_measure] is still exercised, as the oracle for the
-   closure-backed accessors (rows, columns, point lookups, row errors). *)
-let test_as_measure_accessors_match_to_measure () =
-  let phys = cloud_phys ~links:20 41 in
-  let tiled = Sinr_measure.linear_power_tiled ~epsilon:0.2 phys in
-  let ext = Tiled.as_measure tiled in
-  let dense = Tiled.to_measure tiled in
+(* ------------------------------------ the sparse accessors' oracles *)
+
+(* Entries of row [e] and of column [e] in the order the measure hands
+   them out, weights as bits. *)
+let row_entries w e =
+  let acc = ref [] in
+  Measure.iter_row w e (fun e' x -> acc := (e', bits x) :: !acc);
+  List.rev !acc
+
+let column_entries w e' =
+  let { Measure.rows; weights; lo; hi } = Measure.column w e' in
+  List.init (hi - lo) (fun i -> (rows.(lo + i), bits weights.(lo + i)))
+
+(* At ε = 0 the tiled measure must equal the dense matrix built by
+   [Measure.of_function] through every accessor, bit for bit. *)
+let check_zero_eps_accessors name phys =
+  let dense = Sinr_measure.linear_power phys in
+  let sparse =
+    Tiled.as_measure (Sinr_measure.linear_power_tiled ~epsilon:0. phys)
+  in
   let m = Measure.size dense in
-  Alcotest.(check int) "size" m (Measure.size ext);
-  Alcotest.(check int) "nnz" (Measure.nnz dense) (Measure.nnz ext);
-  Alcotest.(check int64) "max_row_sum bits"
+  let fail what e =
+    Alcotest.failf "%s: %s %d differs from linear_power" name what e
+  in
+  Alcotest.(check int) (name ^ ": size") m (Measure.size sparse);
+  Alcotest.(check int) (name ^ ": nnz") (Measure.nnz dense) (Measure.nnz sparse);
+  Alcotest.(check int64) (name ^ ": max_row_sum bits")
     (bits (Measure.max_row_sum dense))
-    (bits (Measure.max_row_sum ext));
-  for e = 0 to m - 1 do
-    Alcotest.(check int)
-      (Printf.sprintf "row_nnz %d" e)
-      (Measure.row_nnz dense e) (Measure.row_nnz ext e);
-    Alcotest.(check (float 0.))
-      (Printf.sprintf "row_error %d" e)
-      (Tiled.row_bound tiled e) (Measure.row_error ext e);
-    let collect iter =
-      let acc = ref [] in
-      iter (fun e' w -> acc := (e', bits w) :: !acc);
-      List.rev !acc
-    in
-    if
-      collect (Measure.iter_row dense e) <> collect (Measure.iter_row ext e)
-    then Alcotest.failf "row %d differs between to_measure and as_measure" e;
-    if
-      collect (Measure.iter_column dense e)
-      <> collect (Measure.iter_column ext e)
-    then
-      Alcotest.failf "column %d differs between to_measure and as_measure" e
-  done;
+    (bits (Measure.max_row_sum sparse));
   let rng = Rng.create ~seed:43 () in
   let load = Array.init m (fun _ -> float_of_int (Rng.int rng 6)) in
-  Alcotest.(check int64) "interference bits"
+  Alcotest.(check int64) (name ^ ": interference bits")
     (bits (Measure.interference dense load))
-    (bits (Measure.interference ext load));
+    (bits (Measure.interference sparse load));
   for e = 0 to m - 1 do
-    Alcotest.(check int64)
-      (Printf.sprintf "interference_at %d bits" e)
-      (bits (Measure.interference_at dense load e))
-      (bits (Measure.interference_at ext load e))
+    if Measure.row_error sparse e <> 0. then fail "row_error" e;
+    if Measure.row_nnz dense e <> Measure.row_nnz sparse e then fail "row_nnz" e;
+    if row_entries dense e <> row_entries sparse e then fail "row" e;
+    if column_entries dense e <> column_entries sparse e then fail "column" e;
+    if bits (Measure.interference_at dense load e)
+       <> bits (Measure.interference_at sparse load e)
+    then fail "interference_at" e;
+    for e' = 0 to m - 1 do
+      if bits (Measure.weight dense e e') <> bits (Measure.weight sparse e e')
+      then fail "weight row" e
+    done
+  done
+
+let test_zero_eps_accessors () =
+  check_zero_eps_accessors "grid"
+    (phys_of_graph (Topology.grid ~rows:4 ~cols:4 ~spacing:10.));
+  check_zero_eps_accessors "line"
+    (phys_of_graph (Topology.line ~nodes:10 ~spacing:10.));
+  check_zero_eps_accessors "random"
+    (phys_of_graph
+       (Topology.random_geometric (Rng.create ~seed:3 ()) ~nodes:14 ~side:60.
+          ~radius:18.));
+  check_zero_eps_accessors "cloud" (cloud_phys ~links:40 7)
+
+(* At ε > 0 entries are dropped, so there is no dense matrix to compare
+   with; each column the window builds must then be exactly the stored
+   rows naming it, rows ascending. The plane is wide enough that a
+   window leaves out most rows. *)
+let test_window_columns_transpose () =
+  let tiled =
+    Sinr_measure.linear_power_tiled ~epsilon:0.2 (cloud_phys ~links:300 41)
+  in
+  Alcotest.(check bool) "window narrower than the plane" true
+    (2 * (Tiled.near_radius tiled + 1)
+    < Dps_geometry.Tiling.nx (Tiled.tiling tiled));
+  let w = Tiled.as_measure tiled in
+  let m = Measure.size w in
+  let expect = Array.make m [] in
+  for e = m - 1 downto 0 do
+    List.iter
+      (fun (e', x) -> expect.(e') <- (e, x) :: expect.(e'))
+      (row_entries w e)
+  done;
+  for e' = 0 to m - 1 do
+    if column_entries w e' <> expect.(e') then
+      Alcotest.failf "column %d is not the transpose of the rows" e'
   done
 
 let () =
@@ -356,8 +378,10 @@ let () =
             test_protocol_jobs_identity;
           Alcotest.test_case "sparse scenario never densifies" `Quick
             test_scenario_never_densifies;
-          Alcotest.test_case "as_measure ≡ to_measure entry for entry" `Quick
-            test_as_measure_accessors_match_to_measure ] );
+          Alcotest.test_case "ε=0 accessors ≡ linear_power, bit for bit" `Quick
+            test_zero_eps_accessors;
+          Alcotest.test_case "ε=0.2 window columns ≡ row transpose" `Quick
+            test_window_columns_transpose ] );
       ( "properties",
         List.map QCheck_alcotest.to_alcotest
           [ prop_sparse_run_parity; prop_rescan_par_bit_identical ] ) ]

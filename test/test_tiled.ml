@@ -1,14 +1,14 @@
 (* The ε-sparsified tiled interference engine against the dense path:
    - ε = 0 reproduces the dense SINR affectance matrix entry for entry;
-   - the tiled tracker agrees with the dense Load_tracker to 1e-9 under
-     random update sequences on small geometric instances;
+   - a Load_tracker over the tiled measure agrees with one over the
+     dense measure to 1e-9 under random update sequences on small
+     geometric instances;
    - for ε > 0, the dense−sparse gap obeys the documented per-row bound
-     0 ≤ gap ≤ row_bound · ‖R‖∞, so a stability verdict can only flip
+     0 ≤ gap ≤ row_error · ‖R‖∞, so a stability verdict can only flip
      inside that margin;
-   - results are bit-identical in [jobs] (construction, interference,
-     tracker), and Driver.run_many on a tiled-derived measure stays
-     byte-identical between jobs=1 and jobs=4 — the PR 6 contract
-     extended to the tiled path. *)
+   - results are bit-identical in [jobs] (construction, tracker), and
+     Driver.run_many on the tiled measure stays byte-identical between
+     jobs=1 and jobs=4. *)
 
 module Rng = Dps_prelude.Rng
 module Timeseries = Dps_prelude.Timeseries
@@ -48,12 +48,13 @@ let test_zero_epsilon_exact () =
   let phys = geo_phys ~links:24 7 in
   let dense = Sinr_measure.linear_power phys in
   let tiled = Sinr_measure.linear_power_tiled ~epsilon:0. phys in
+  let sparse = Tiled.as_measure tiled in
   Alcotest.(check int) "size" (Measure.size dense) (Tiled.size tiled);
   Alcotest.(check int) "nnz" (Measure.nnz dense) (Tiled.nnz tiled);
   Alcotest.(check (float 0.)) "no dropped mass" 0. (Tiled.max_row_bound tiled);
   for e = 0 to Measure.size dense - 1 do
     let got = ref [] in
-    Tiled.iter_row tiled e (fun e' w -> got := (e', w) :: !got);
+    Measure.iter_row sparse e (fun e' w -> got := (e', w) :: !got);
     let expect = ref [] in
     Measure.iter_row dense e (fun e' w -> expect := (e', w) :: !expect);
     if !got <> !expect then
@@ -63,7 +64,7 @@ let test_zero_epsilon_exact () =
   let load = random_counts rng (Measure.size dense) in
   Alcotest.(check (float 1e-12))
     "interference" (Measure.interference dense load)
-    (Tiled.interference tiled load)
+    (Measure.interference sparse load)
 
 (* ------------------------------------ tiled tracker ≡ dense tracker *)
 
@@ -80,15 +81,15 @@ let apply_both m dense_tr tiled_tr (link, kind, c) =
   (match kind mod 3 with
   | 0 ->
     Load_tracker.add dense_tr e;
-    Tiled.Tracker.add tiled_tr e
+    Load_tracker.add tiled_tr e
   | 1 ->
     if Load_tracker.load dense_tr e >= 1. then begin
       Load_tracker.remove dense_tr e;
-      Tiled.Tracker.remove tiled_tr e
+      Load_tracker.remove tiled_tr e
     end
   | _ ->
     Load_tracker.add_scaled dense_tr e c;
-    Tiled.Tracker.add_scaled tiled_tr e c);
+    Load_tracker.add_scaled tiled_tr e c);
   e
 
 let prop_tracker_matches_dense =
@@ -101,17 +102,17 @@ let prop_tracker_matches_dense =
       let dense = Sinr_measure.linear_power phys in
       let tiled = Sinr_measure.linear_power_tiled ~epsilon:0. phys in
       let dense_tr = Load_tracker.create dense in
-      let tiled_tr = Tiled.Tracker.create tiled in
+      let tiled_tr = Load_tracker.create (Tiled.as_measure tiled) in
       List.for_all
         (fun op ->
           let e = apply_both links dense_tr tiled_tr op in
           Float.abs
             (Load_tracker.interference dense_tr
-            -. Tiled.Tracker.interference tiled_tr)
+            -. Load_tracker.interference tiled_tr)
           <= tolerance
           && Float.abs
                (Load_tracker.interference_at dense_tr e
-               -. Tiled.Tracker.interference_at tiled_tr e)
+               -. Load_tracker.interference_at tiled_tr e)
              <= tolerance)
         ops)
 
@@ -122,17 +123,19 @@ let prop_tracker_reset =
       let links = 6 + (pick mod 20) in
       let phys = geo_phys ~links (200 + pick) in
       let tiled = Sinr_measure.linear_power_tiled ~epsilon:0.1 phys in
-      let tr = Tiled.Tracker.create tiled in
-      List.iter (fun (l, _, c) -> Tiled.Tracker.add_scaled tr (l mod links) c) ops;
-      Tiled.Tracker.reset tr;
-      Tiled.Tracker.interference tr = 0.
+      let tr = Load_tracker.create (Tiled.as_measure tiled) in
+      List.iter
+        (fun (l, _, c) -> Load_tracker.add_scaled tr (l mod links) c)
+        ops;
+      Load_tracker.reset tr;
+      Load_tracker.interference tr = 0.
       && List.for_all
-           (fun e -> Tiled.Tracker.load tr e = 0.)
+           (fun e -> Load_tracker.load tr e = 0.)
            (List.init links Fun.id))
 
 (* --------------------------------------------- ε > 0 error accounting *)
 
-(* 0 ≤ dense − sparse ≤ row_bound · ‖R‖∞, per row and globally. *)
+(* 0 ≤ dense − sparse ≤ row_error · ‖R‖∞, per row and globally. *)
 let prop_epsilon_error_bound =
   QCheck.Test.make ~count:120
     ~name:"ε-sparsification error within the recorded per-row bound"
@@ -142,6 +145,7 @@ let prop_epsilon_error_bound =
       let phys = geo_phys ~links (300 + pick) in
       let dense = Sinr_measure.linear_power phys in
       let tiled = Sinr_measure.linear_power_tiled ~epsilon phys in
+      let sparse = Tiled.as_measure tiled in
       let rng = Rng.create ~seed:(400 + load_seed) () in
       let load = random_counts rng links in
       let linf = Array.fold_left Float.max 0. load in
@@ -149,13 +153,13 @@ let prop_epsilon_error_bound =
         List.for_all
           (fun e ->
             let d = Measure.interference_at dense load e in
-            let s = Tiled.interference_at tiled load e in
+            let s = Measure.interference_at sparse load e in
             d -. s >= -.tolerance
-            && d -. s <= (Tiled.row_bound tiled e *. linf) +. tolerance)
+            && d -. s <= (Measure.row_error sparse e *. linf) +. tolerance)
           (List.init links Fun.id)
       in
       let d = Measure.interference dense load in
-      let s = Tiled.interference tiled load in
+      let s = Measure.interference sparse load in
       rows_ok
       && Tiled.max_row_bound tiled <= epsilon +. tolerance
       && d -. s >= -.tolerance
@@ -178,7 +182,7 @@ let prop_verdict_flip_within_bound =
       let load = random_counts rng links in
       let linf = Array.fold_left Float.max 0. load in
       let d = Measure.interference dense load in
-      let s = Tiled.interference tiled load in
+      let s = Measure.interference (Tiled.as_measure tiled) load in
       let threshold = frac *. (d +. 1.) in
       let margin = (Tiled.max_row_bound tiled *. linf) +. tolerance in
       let verdict v = v <= threshold in
@@ -190,34 +194,31 @@ let bits = Int64.bits_of_float
 
 let test_jobs_bit_identical () =
   let phys = geo_phys ~links:200 17 in
-  let t1 = Sinr_measure.linear_power_tiled ~jobs:1 ~epsilon:0.1 phys in
-  let t4 = Sinr_measure.linear_power_tiled ~jobs:4 ~epsilon:0.1 phys in
-  Alcotest.(check int) "construction nnz" (Tiled.nnz t1) (Tiled.nnz t4);
-  for e = 0 to Tiled.size t1 - 1 do
+  let build jobs =
+    Tiled.as_measure (Sinr_measure.linear_power_tiled ~jobs ~epsilon:0.1 phys)
+  in
+  let m1 = build 1 and m4 = build 4 in
+  Alcotest.(check int) "construction nnz" (Measure.nnz m1) (Measure.nnz m4);
+  for e = 0 to Measure.size m1 - 1 do
     let r1 = ref [] and r4 = ref [] in
-    Tiled.iter_row t1 e (fun e' w -> r1 := (e', bits w) :: !r1);
-    Tiled.iter_row t4 e (fun e' w -> r4 := (e', bits w) :: !r4);
+    Measure.iter_row m1 e (fun e' w -> r1 := (e', bits w) :: !r1);
+    Measure.iter_row m4 e (fun e' w -> r4 := (e', bits w) :: !r4);
     if !r1 <> !r4 then Alcotest.failf "row %d differs between jobs=1 and 4" e;
     Alcotest.(check (float 0.))
-      (Printf.sprintf "row_bound %d" e)
-      (Tiled.row_bound t1 e) (Tiled.row_bound t4 e)
+      (Printf.sprintf "row_error %d" e)
+      (Measure.row_error m1 e) (Measure.row_error m4 e)
   done;
-  let rng = Rng.create ~seed:19 () in
-  let load = random_counts rng 200 in
-  Alcotest.(check int64) "interference bits"
-    (bits (Tiled.interference ~jobs:1 t1 load))
-    (bits (Tiled.interference ~jobs:4 t1 load));
-  let tr1 = Tiled.Tracker.create t1 and tr4 = Tiled.Tracker.create t1 in
+  let tr1 = Load_tracker.create m1 and tr4 = Load_tracker.create m1 in
   let rng = Rng.create ~seed:23 () in
   for _ = 1 to 300 do
     let e = Rng.int rng 200 in
     let c = Rng.float rng 2. in
-    Tiled.Tracker.add_scaled tr1 e c;
-    Tiled.Tracker.add_scaled tr4 e c
+    Load_tracker.add_scaled tr1 e c;
+    Load_tracker.add_scaled tr4 e c
   done;
   Alcotest.(check int64) "tracker bits"
-    (bits (Tiled.Tracker.interference ~jobs:1 tr1))
-    (bits (Tiled.Tracker.interference ~jobs:4 tr4))
+    (bits (Load_tracker.interference ~jobs:1 tr1))
+    (bits (Load_tracker.interference ~jobs:4 tr4))
 
 (* Driver.run_many over a tiled-derived measure: report and telemetry
    byte-identical between jobs=1 and jobs=4 (the test_par golden, on the
@@ -226,7 +227,7 @@ let tiled_setup () =
   let phys = geo_phys ~links:12 29 in
   let g = Physics.graph phys in
   let tiled = Sinr_measure.linear_power_tiled ~epsilon:0.1 phys in
-  let measure = Tiled.to_measure tiled in
+  let measure = Tiled.as_measure tiled in
   let m = Measure.size measure in
   let rec first_feasible = function
     | [] -> Alcotest.fail "no configurable rate for the tiled golden"
