@@ -15,7 +15,7 @@
    by construction:
 
      --require-m M         (s1) some config was measured at exactly M
-                           links;
+                           links; repeat it to require several sizes;
      --require-sparse-m M  (p6) a protocol_slots_per_sec entry whose
                            config carries both "m=M/" and
                            "backend=sparse" exists — the full-scale
@@ -42,25 +42,35 @@ let config e = Json.string_field "config" e
 let metric e = Json.string_field "metric" e
 let jobs e = Json.int_field "jobs" e
 
-(* S1 configs look like "link-cloud/eps=0.1/m=4096": recover the size. *)
+(* S1 configs look like "link-cloud/eps=0.1/m=4096" or
+   "conflict-d2/side=50/m=9800": recover the size. *)
 let m_of_config config =
   match String.rindex_opt config '=' with
   | None -> None
   | Some i ->
     int_of_string_opt (String.sub config (i + 1) (String.length config - i - 1))
 
-let s1_core =
-  [ "construct_links_per_sec"; "nnz_per_link"; "bytes_per_link";
-    "max_row_bound"; "step_ops_per_sec"; "query_links_per_sec" ]
+(* An s1 arm's metrics: the core ones each of its configs carries at
+   jobs=1, and the ones it may add (the conflict-graph arm's vm_hwm_mib
+   is Linux-only). *)
+let s1_arm config =
+  if String.starts_with ~prefix:"conflict-d2/" config then
+    ( [ "graph_build_s"; "order_build_s"; "measure_build_s"; "nnz_per_link" ],
+      [ "vm_hwm_mib" ] )
+  else
+    ( [ "construct_links_per_sec"; "nnz_per_link"; "bytes_per_link";
+        "max_row_bound"; "step_ops_per_sec"; "query_links_per_sec" ],
+      [ "dense_construct_links_per_sec"; "dense_speedup_measured";
+        "dense_speedup_projected" ] )
 
-(* The metrics each bench may emit. *)
+(* The metrics a config of each bench may emit. *)
 let metrics = function
-  | "p5" -> [ "slots_per_sec"; "packet_hops_per_sec" ]
-  | "p6" -> [ "protocol_slots_per_sec"; "speedup_measured" ]
+  | "p5" -> fun _ -> [ "slots_per_sec"; "packet_hops_per_sec" ]
+  | "p6" -> fun _ -> [ "protocol_slots_per_sec"; "speedup_measured" ]
   | "s1" ->
-    s1_core
-    @ [ "dense_construct_links_per_sec"; "dense_speedup_measured";
-        "dense_speedup_projected" ]
+    fun config ->
+      let core, extra = s1_arm config in
+      core @ extra
   | bench -> fail "unknown bench tag %S" bench
 
 let () =
@@ -74,7 +84,7 @@ let () =
          [--min-speedup X]";
       exit 2
   in
-  let require_m = ref None
+  let require_m = ref []
   and require_sparse_m = ref None
   and min_speedup = ref None in
   let number parse flag v =
@@ -85,7 +95,7 @@ let () =
   let rec parse_flags = function
     | [] -> ()
     | "--require-m" :: v :: rest ->
-      require_m := Some (number int_of_string_opt "--require-m" v);
+      require_m := number int_of_string_opt "--require-m" v :: !require_m;
       parse_flags rest
     | "--require-sparse-m" :: v :: rest ->
       require_sparse_m := Some (number int_of_string_opt "--require-sparse-m" v);
@@ -107,7 +117,7 @@ let () =
   let only_for b flag set =
     if set && bench <> b then fail "%s applies to bench %s, not %s" flag b bench
   in
-  only_for "s1" "--require-m" (!require_m <> None);
+  only_for "s1" "--require-m" (!require_m <> []);
   only_for "p6" "--require-sparse-m" (!require_sparse_m <> None);
   only_for "p6" "--min-speedup" (!min_speedup <> None);
   let entries = Json.to_list (Json.field "entries" j) in
@@ -117,7 +127,7 @@ let () =
       let config = config e and metric = metric e in
       let value = Json.to_float (Json.field "value" e) in
       if config = "" then fail "empty config";
-      if not (List.mem metric allowed) then
+      if not (List.mem metric (allowed config)) then
         fail "unknown metric %S in %s" metric config;
       if bench = "s1" && m_of_config config = None then
         fail "config %S does not end in m=<links>" config;
@@ -156,16 +166,16 @@ let () =
           fail "no sparse protocol run at m=%d" m)
       !require_sparse_m
   | _ ->
-    (* s1: every config needs the core tiled metrics at jobs=1. *)
+    (* s1: every config needs its arm's core metrics at jobs=1. *)
     List.iter
       (fun c ->
         List.iter
           (fun m ->
             if count (fun e -> config e = c && metric e = m && jobs e = 1) = 0
             then fail "config %s lacks %s at jobs=1" c m)
-          s1_core)
+          (fst (s1_arm c)))
       configs;
-    Option.iter
+    List.iter
       (fun m ->
         if not (List.exists (fun c -> m_of_config c = Some m) configs) then
           fail "no config measured at m=%d (got: %s)" m

@@ -26,10 +26,20 @@
    projection, not a measurement, is the "≥ 50×" speedup figure, and the
    table marks it as such.
 
-   Output: the table below plus BENCH_S1.json (dps-bench/1, bench "s1")
+   A second arm builds the conflict-graph measure of paper §7.2 at the
+   same scale: distance-2 conflict graphs on bidirectional grids of
+   side 50 and 159 (m = 9,800 and 100,488 links). Per size it reports
+   the build seconds of the graph, the smallest-last order and the
+   measure (median of 3), nnz per link, and the process's peak resident
+   set (VmHWM) right after one build of all three. VmHWM is the peak of
+   the whole process so far: the arm runs before the tiled one, so a
+   reading covers this arm's builds up to that size.
+
+   Output: the tables below plus BENCH_S1.json (dps-bench/1, bench "s1")
    at DPS_BENCH_OUT; schema and reading guide in docs/SCALING.md. *)
 
 open Common
+module Conflict_graph = Dps_interference.Conflict_graph
 module Tiled = Dps_interference.Tiled
 module Load_tracker = Dps_interference.Load_tracker
 module Tiling = Dps_geometry.Tiling
@@ -153,6 +163,51 @@ let project_dense cells =
               float_of_int c.m *. float_of_int c.m /. pairs_per_sec })
       cells
 
+(* --- the conflict-graph arm --- *)
+
+type conflict_cell = {
+  side : int;
+  links : int;
+  graph_s : float;
+  order_s : float;
+  measure_s : float;
+  conflict_nnz : int;
+  hwm_mib : float option;  (* None where /proc/self/status is missing *)
+}
+
+(* Peak resident set of this process so far, from VmHWM (Linux). *)
+let vm_hwm_mib () =
+  match open_in "/proc/self/status" with
+  | exception Sys_error _ -> None
+  | ic ->
+    let rec scan () =
+      match input_line ic with
+      | exception End_of_file -> None
+      | line -> (
+        match Scanf.sscanf_opt line "VmHWM: %d kB" Fun.id with
+        | Some kb -> Some (float_of_int kb /. 1024.)
+        | None -> scan ())
+    in
+    let r = scan () in
+    close_in ic;
+    r
+
+let run_conflict_cell ~side ~runs =
+  let g = Topology.grid ~rows:side ~cols:side ~spacing:10. in
+  (* One untimed build of all three for the peak. *)
+  let cg = Conflict_graph.distance2 g in
+  let order = Conflict_graph.degeneracy_order cg in
+  let measure = Conflict_graph.to_measure cg ~order in
+  let hwm_mib = vm_hwm_mib () in
+  let time f = snd (Common.median_time ~warmup:0 ~runs f) in
+  { side;
+    links = Graph.link_count g;
+    graph_s = time (fun () -> Conflict_graph.distance2 g);
+    order_s = time (fun () -> Conflict_graph.degeneracy_order cg);
+    measure_s = time (fun () -> Conflict_graph.to_measure cg ~order);
+    conflict_nnz = Measure.nnz measure;
+    hwm_mib }
+
 (* --- BENCH_S1.json --- *)
 
 let json_escape s =
@@ -165,7 +220,7 @@ let json_escape s =
     s;
   Buffer.contents b
 
-let emit_json path cells =
+let emit_json path conflict_cells cells =
   let oc = open_out path in
   let entry ~config ~metric ~value ~jobs =
     Printf.sprintf
@@ -204,6 +259,23 @@ let emit_json path cells =
            else []))
       cells
   in
+  let conflict_entries =
+    List.concat_map
+      (fun c ->
+        let config = Printf.sprintf "conflict-d2/side=%d/m=%d" c.side c.links in
+        [ entry ~config ~metric:"graph_build_s" ~value:c.graph_s ~jobs:1;
+          entry ~config ~metric:"order_build_s" ~value:c.order_s ~jobs:1;
+          entry ~config ~metric:"measure_build_s" ~value:c.measure_s ~jobs:1;
+          entry ~config ~metric:"nnz_per_link"
+            ~value:(float_of_int c.conflict_nnz /. float_of_int c.links)
+            ~jobs:1 ]
+        @
+        match c.hwm_mib with
+        | Some v -> [ entry ~config ~metric:"vm_hwm_mib" ~value:v ~jobs:1 ]
+        | None -> [])
+      conflict_cells
+  in
+  let entries = conflict_entries @ entries in
   Printf.fprintf oc
     "{\n  \"schema\": \"dps-bench/1\",\n  \"bench\": \"s1\",\n  \"entries\": \
      [\n%s\n  ]\n}\n"
@@ -212,10 +284,30 @@ let emit_json path cells =
 
 let run () =
   Printf.printf "\n=== S1: tiled sparse interference engine at scale ===\n%!";
+  let runs = if smoke then 2 else 3 in
+  let conflict_cells =
+    List.map
+      (fun side ->
+        let c = run_conflict_cell ~side:(grid_dim side) ~runs in
+        Printf.printf "  conflict-d2 m=%d done\n%!" c.links;
+        c)
+      (sweep [ 50; 159 ])
+  in
+  Tbl.print ~title:"S1: distance-2 conflict grids (median wall clock)"
+    ~header:[ "side"; "m"; "graph s"; "order s"; "measure s"; "nnz/link"; "VmHWM MiB" ]
+    (List.map
+       (fun c ->
+         [ Tbl.I c.side;
+           Tbl.I c.links;
+           Tbl.F4 c.graph_s;
+           Tbl.F4 c.order_s;
+           Tbl.F4 c.measure_s;
+           Tbl.F2 (float_of_int c.conflict_nnz /. float_of_int c.links);
+           (match c.hwm_mib with Some v -> Tbl.F2 v | None -> Tbl.S "-") ])
+       conflict_cells);
   let sizes = sweep [ 1024; 4096; 100_000 ] in
   let sizes = List.map links sizes in
   let dense_cap = 4096 in
-  let runs = if smoke then 2 else 3 in
   let cells =
     List.map
       (fun m ->
@@ -259,7 +351,7 @@ let run () =
     | Some p -> p
     | None -> "BENCH_S1.json"
   in
-  emit_json out cells;
+  emit_json out conflict_cells cells;
   Tbl.note
     "dense skipped above m=%d (memory: ~28 bytes x m^2); speedups there are \
      projections from the measured per-pair rate.\n"

@@ -2,39 +2,31 @@ module Graph = Dps_network.Graph
 module Link = Dps_network.Link
 module Point = Dps_geometry.Point
 module Rng = Dps_prelude.Rng
+module Intvec = Dps_prelude.Intvec
+module A1 = Bigarray.Array1
 
+(* [adj.(e)]: the links conflicting with [e], ascending, never [e]. *)
 type t = { n : int; adj : int array array }
 
 let create ~links ~conflicts =
   assert (links > 0);
-  let sets = Array.make links [] in
-  let seen = Hashtbl.create (List.length conflicts) in
+  let rows = Array.make links [] in
   List.iter
     (fun (a, b) ->
       if a < 0 || a >= links || b < 0 || b >= links then
         invalid_arg "Conflict_graph.create: link id out of range";
-      let key = (min a b, max a b) in
-      if a <> b && not (Hashtbl.mem seen key) then begin
-        Hashtbl.add seen key ();
-        sets.(a) <- b :: sets.(a);
-        sets.(b) <- a :: sets.(b)
+      if a <> b then begin
+        rows.(a) <- b :: rows.(a);
+        rows.(b) <- a :: rows.(b)
       end)
     conflicts;
-  let adj =
-    Array.map
-      (fun l ->
-        let arr = Array.of_list l in
-        Array.sort compare arr;
-        arr)
-      sets
-  in
-  { n = links; adj }
+  { n = links;
+    adj = Array.map (fun l -> Array.of_list (List.sort_uniq Int.compare l)) rows }
 
 let size t = t.n
 let conflicts t e = t.adj.(e)
 
-let conflict t e e' =
-  e <> e' && Array.exists (fun x -> x = e') t.adj.(e)
+let conflict t e e' = e <> e' && Array.exists (fun x -> x = e') t.adj.(e)
 
 let degree t e = Array.length t.adj.(e)
 
@@ -45,85 +37,111 @@ let independent t links =
   in
   check links
 
-let pairs_of_predicate g pred =
-  let m = Graph.link_count g in
-  let acc = ref [] in
-  for a = 0 to m - 1 do
-    for b = a + 1 to m - 1 do
-      if pred (Graph.link g a) (Graph.link g b) then acc := (a, b) :: !acc
-    done
-  done;
-  !acc
+(* A graph whose row [a] is every link other than [a] that [gather a]
+   offers. Offers repeat; [taken.(b) = a] keeps one of each. *)
+let of_neighbourhoods ~links gather =
+  assert (links > 0);
+  let taken = Array.make links (-1) and row = Intvec.create () in
+  let collect a =
+    Intvec.clear row;
+    gather a (fun b ->
+        if b <> a && taken.(b) <> a then begin
+          taken.(b) <- a;
+          Intvec.push row b
+        end);
+    Intvec.sort row;
+    Array.sub (Intvec.unsafe_data row) 0 (Intvec.length row)
+  in
+  { n = links; adj = Array.init links collect }
 
-let share_endpoint (a : Link.t) (b : Link.t) =
-  a.src = b.src || a.src = b.dst || a.dst = b.src || a.dst = b.dst
+(* The links into or out of node [v]. *)
+let incident g v offer =
+  List.iter offer (Graph.out_links g v);
+  List.iter offer (Graph.in_links g v)
 
 let node_constraint g =
-  create ~links:(Graph.link_count g)
-    ~conflicts:(pairs_of_predicate g share_endpoint)
+  of_neighbourhoods ~links:(Graph.link_count g) (fun a offer ->
+      let l = Graph.link g a in
+      incident g l.src offer;
+      incident g l.dst offer)
 
 let distance2 g =
-  let adjacent_nodes u v =
-    u = v
-    || Option.is_some (Graph.find_link g ~src:u ~dst:v)
-    || Option.is_some (Graph.find_link g ~src:v ~dst:u)
-  in
-  let pred (a : Link.t) (b : Link.t) =
-    List.exists
-      (fun u -> List.exists (adjacent_nodes u) [ b.src; b.dst ])
-      [ a.src; a.dst ]
-  in
-  create ~links:(Graph.link_count g) ~conflicts:(pairs_of_predicate g pred)
+  (* The links incident to a node within one hop of either endpoint. *)
+  of_neighbourhoods ~links:(Graph.link_count g) (fun a offer ->
+      let around u =
+        incident g u offer;
+        List.iter (fun id -> incident g (Graph.link g id).dst offer) (Graph.out_links g u);
+        List.iter (fun id -> incident g (Graph.link g id).src offer) (Graph.in_links g u)
+      in
+      let l = Graph.link g a in
+      around l.src;
+      around l.dst)
 
 let protocol_model g ~delta =
   assert (delta >= 0.);
   let reaches (a : Link.t) (b : Link.t) =
     (* Sender of [a] lies within the guard zone of [b]'s receiver. *)
-    let sender = Graph.position g a.src in
-    let receiver = Graph.position g b.dst in
-    let range = (1. +. delta) *. Graph.link_length g b.id in
-    Point.distance sender receiver <= range
+    Point.distance (Graph.position g a.src) (Graph.position g b.dst)
+    <= (1. +. delta) *. Graph.link_length g b.id
   in
-  let pred a b = reaches a b || reaches b a in
-  create ~links:(Graph.link_count g) ~conflicts:(pairs_of_predicate g pred)
+  (* Geometry, not adjacency, decides here: every link is judged. *)
+  of_neighbourhoods ~links:(Graph.link_count g) (fun a offer ->
+      let l = Graph.link g a in
+      Array.iter
+        (fun (b : Link.t) -> if reaches l b || reaches b l then offer b.id)
+        (Graph.links g))
 
 let radio_model g =
-  let sends_into sender receiver =
-    Option.is_some (Graph.find_link g ~src:sender ~dst:receiver)
-  in
-  let jams (a : Link.t) (b : Link.t) =
-    (* [a]'s sender disturbs [b]'s receiver if it is one of its
-       in-neighbours (its transmission reaches that receiver). *)
-    a.src <> b.src && sends_into a.src b.dst
-  in
-  let pred (a : Link.t) (b : Link.t) =
-    a.src = b.src || a.dst = b.dst || jams a b || jams b a
-  in
-  create ~links:(Graph.link_count g) ~conflicts:(pairs_of_predicate g pred)
+  (* [b] conflicts with [l] when they share a sender, share a receiver,
+     or either sender is an in-neighbour of the other's receiver. *)
+  of_neighbourhoods ~links:(Graph.link_count g) (fun a offer ->
+      let l = Graph.link g a in
+      List.iter offer (Graph.out_links g l.src);
+      List.iter offer (Graph.in_links g l.dst);
+      List.iter
+        (fun id -> List.iter offer (Graph.in_links g (Graph.link g id).dst))
+        (Graph.out_links g l.src);
+      List.iter
+        (fun id -> List.iter offer (Graph.out_links g (Graph.link g id).src))
+        (Graph.in_links g l.dst))
 
 let degeneracy_order t =
-  (* Smallest-last ordering: repeatedly remove a minimum-residual-degree
-     vertex; the removal sequence reversed is the ordering π. *)
-  let removed = Array.make t.n false in
-  let residual = Array.init t.n (degree t) in
-  let removal = Array.make t.n (-1) in
-  for step = 0 to t.n - 1 do
-    let best = ref (-1) in
-    for v = 0 to t.n - 1 do
-      if (not removed.(v)) && (!best < 0 || residual.(v) < residual.(!best))
-      then best := v
-    done;
-    let v = !best in
-    removed.(v) <- true;
-    removal.(step) <- v;
-    Array.iter
-      (fun u -> if not removed.(u) then residual.(u) <- residual.(u) - 1)
-      t.adj.(v)
+  (* Smallest-last ordering: repeatedly remove the vertex of least
+     residual degree, the smallest id among ties; the removal sequence
+     reversed is the ordering π. A binary heap on the key
+     (residual, id), which tracks each vertex's slot in it, makes a
+     removal and a residual decrement O(log m) each. *)
+  let n = t.n in
+  let residual = Array.init n (degree t) in
+  let heap = Array.init n Fun.id and slot = Array.init n Fun.id in
+  let key v = (residual.(v) * n) + v in
+  let place i v = heap.(i) <- v; slot.(v) <- i in
+  let rec up i v =
+    let p = (i - 1) / 2 in
+    if i > 0 && key v < key heap.(p) then (place i heap.(p); up p v) else place i v
+  in
+  let rec down size i v =
+    let c = (2 * i) + 1 in
+    let c = if c + 1 < size && key heap.(c + 1) < key heap.(c) then c + 1 else c in
+    if c < size && key heap.(c) < key v then (place i heap.(c); down size c v)
+    else place i v
+  in
+  for i = (n / 2) - 1 downto 0 do
+    down n i heap.(i)
   done;
-  (* removal.(0) was removed first, so it comes last in π. *)
-  let order = Array.make t.n (-1) in
-  for step = 0 to t.n - 1 do
-    order.(t.n - 1 - step) <- removal.(step)
+  let order = Array.make n (-1) in
+  for size = n - 1 downto 0 do
+    let v = heap.(0) in
+    slot.(v) <- -1;
+    order.(size) <- v;
+    if size > 0 then down size 0 heap.(size);
+    Array.iter
+      (fun u ->
+        if slot.(u) >= 0 then begin
+          residual.(u) <- residual.(u) - 1;
+          up slot.(u) u
+        end)
+      t.adj.(v)
   done;
   order
 
@@ -162,12 +180,28 @@ let independence_bound t ~order ~samples rng =
   !best
 
 let to_measure t ~order =
+  (* Row e holds the diagonal and the conflicts of smaller rank,
+     ascending: counted, then written straight into the CSR slabs. *)
   let rank = rank_of_order order in
-  let row e =
-    Array.to_list
-      (Array.map (fun e' -> (e', 1.))
-         (Array.of_list
-            (List.filter (fun e' -> rank.(e') <= rank.(e))
-               (Array.to_list t.adj.(e)))))
+  let below e e' = rank.(e') < rank.(e) in
+  let row_ptr = Array.make (t.n + 1) 0 in
+  Array.iteri
+    (fun e adj ->
+      let kept = Array.fold_left (fun k e' -> if below e e' then k + 1 else k) 1 adj in
+      row_ptr.(e + 1) <- row_ptr.(e) + kept)
+    t.adj;
+  let cols = A1.create Bigarray.int32 Bigarray.c_layout row_ptr.(t.n) in
+  let weights = A1.create Bigarray.float64 Bigarray.c_layout row_ptr.(t.n) in
+  A1.fill weights 1.;
+  let k = ref 0 in
+  let put c =
+    cols.{!k} <- Int32.of_int c;
+    incr k
   in
-  Measure.of_rows (Array.init t.n row)
+  Array.iteri
+    (fun e adj ->
+      Array.iter (fun e' -> if e' < e && below e e' then put e') adj;
+      put e;
+      Array.iter (fun e' -> if e' > e && below e e' then put e') adj)
+    t.adj;
+  Measure.of_csr ~row_ptr ~cols ~weights ~row_error:(Array.make t.n 0.) ()

@@ -29,7 +29,11 @@ val degree : t -> int -> int
 (** [independent t links] — is the given set pairwise conflict-free? *)
 val independent : t -> int list -> bool
 
-(** {1 Constructions from a network graph} *)
+(** {1 Constructions from a network graph}
+
+    The node-local models (node constraint, distance-2, radio) judge only
+    the links incident to nodes within one hop of a link's endpoints, in
+    O(Σ deg²); the protocol model judges all pairs, O(links²). *)
 
 (** [node_constraint g] — two links conflict iff they share an endpoint
     (each node transmits or receives at most one packet per slot). *)
@@ -54,9 +58,10 @@ val radio_model : Dps_network.Graph.t -> t
 (** {1 Inductive independence} *)
 
 (** [degeneracy_order t] — an ordering π produced by repeatedly removing a
-    minimum-degree vertex (smallest-last). For graphs of inductive
-    independence ρ this is the standard witness ordering heuristic.
-    Returns [order] with [order.(rank) = link]. *)
+    minimum-degree vertex (smallest-last), the smallest link id among
+    ties. For graphs of inductive independence ρ this is the standard
+    witness ordering heuristic. Returns [order] with
+    [order.(rank) = link]. O((links + conflicts) · log links). *)
 val degeneracy_order : t -> int array
 
 (** [independence_bound t ~order ~samples rng] — empirical upper estimate of
@@ -66,5 +71,5 @@ val degeneracy_order : t -> int array
 val independence_bound : t -> order:int array -> samples:int -> Dps_prelude.Rng.t -> int
 
 (** [to_measure t ~order] — the interference measure described above, where
-    [order.(rank) = link] defines π. *)
+    [order.(rank) = link] defines π. O(links + conflicts). *)
 val to_measure : t -> order:int array -> Measure.t

@@ -5,8 +5,11 @@
 
 type t
 
-(** [make g] precomputes all-pairs shortest paths (hop metric, BFS from each
-    node). Cost O(|V|·(|V| + |E|)). *)
+(** [make g] — O(|V| + |E|): no table. Each query runs its own breadth-first
+    search (hop metric) from [src], stopping once [dst] is discovered,
+    and allocates only its answer. A [t] may be queried from several
+    domains at once: each searches in its own domain-local scratch,
+    three int arrays as long as the largest graph it has queried. *)
 val make : Graph.t -> t
 
 (** [path t ~src ~dst] is a shortest path from [src] to [dst], or [None] if
@@ -18,5 +21,6 @@ val path : t -> src:int -> dst:int -> Path.t option
 val distance : t -> src:int -> dst:int -> int option
 
 (** [diameter t] is the largest finite hop distance between distinct nodes;
-    [0] for graphs with no reachable pairs. *)
+    [0] for graphs with no reachable pairs. One search per node:
+    O(|V|·(|V| + |E|)). *)
 val diameter : t -> int

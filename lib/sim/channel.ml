@@ -27,7 +27,9 @@ type t = {
   mutable now : int;
   trace : Trace.t;
   rng : Rng.t option;  (* randomness for stochastic oracles (Lossy) *)
-  counts : int array;  (* per-slot attempt counts; zero outside step *)
+  counts : int array;
+      (* per-slot attempt counts, zero outside step; the Conflict oracle
+         reads them as the marks of the active set *)
   tracker : Load_tracker.t option;
       (* measured per-slot attempt interference, when a measure is attached *)
   faults : faults option;
@@ -157,7 +159,7 @@ let step_vec t attempts =
       done;
       Trace.record_interference t.trace (Load_tracker.interference tracker));
     Oracle.adjudicate_vec ?rng:t.rng t.oracle ~active:t.v_active
-      ~winners:t.v_winners;
+      ~marks:t.counts ~winners:t.v_winners;
     Intvec.clear t.v_succeeded;
     for i = 0 to Intvec.length t.v_winners - 1 do
       let e = Intvec.get t.v_winners i in

@@ -48,16 +48,13 @@ let rec adjudicate ?rng t attempts =
    Lossy only boxes its loss draws; power control keeps the list
    implementation (its fixed-point search is list-shaped and dominated
    by float work, not by the conversion). *)
-(* [Intvec.exists] with a capturing closure would allocate; an index
-   recursion keeps the same early exit without any heap traffic. The scan
-   includes [e] itself, exactly as the list rule's [List.exists] did. *)
-let rec conflicts_with cg active e j =
-  let module V = Dps_prelude.Intvec in
-  j < V.length active
-  && (Conflict_graph.conflict cg e (V.get active j)
-     || conflicts_with cg active e (j + 1))
+(* The Conflict rule: [e] wins iff none of its conflicting links is
+   marked as attempting. One pass over [e]'s row, a top-level recursion
+   so that no closure is allocated. *)
+let rec unmarked marks row j =
+  j >= Array.length row || (marks.(row.(j)) = 0 && unmarked marks row (j + 1))
 
-let rec adjudicate_vec ?rng t ~active ~winners =
+let rec adjudicate_vec ?rng t ~active ~marks ~winners =
   let module V = Dps_prelude.Intvec in
   V.clear winners;
   match t with
@@ -69,7 +66,7 @@ let rec adjudicate_vec ?rng t ~active ~winners =
   | Conflict cg ->
     for i = V.length active - 1 downto 0 do
       let e = V.get active i in
-      if not (conflicts_with cg active e 0) then V.push winners e
+      if unmarked marks (Conflict_graph.conflicts cg e) 0 then V.push winners e
     done
   | Sinr phys ->
     for i = V.length active - 1 downto 0 do
@@ -84,7 +81,7 @@ let rec adjudicate_vec ?rng t ~active ~winners =
     | Some r ->
       (* The base rule first, then one loss draw per winner in order:
          the list rule's [List.filter] over [adjudicate base]. *)
-      adjudicate_vec ?rng base ~active ~winners;
+      adjudicate_vec ?rng base ~active ~marks ~winners;
       let kept = ref 0 in
       for i = 0 to V.length winners - 1 do
         let e = V.get winners i in

@@ -30,18 +30,23 @@ type t =
     silently degenerate to the clamped Bernoulli. *)
 val adjudicate : ?rng:Dps_prelude.Rng.t -> t -> int list -> int list
 
-(** [adjudicate_vec ?rng t ~active ~winners] — vector variant for the
-    zero-allocation slot loop. [active] holds the deduplicated attempting
-    links in first-occurrence order; [winners] is cleared and filled with
-    the succeeding subset in the exact order {!adjudicate} would return
-    it (so stochastic oracles consume randomness identically), and SINR
-    sums interference in the same float order. Wireline, Mac, Conflict
-    and SINR allocate nothing; [Lossy] adds only its loss draws' boxed
-    floats, and [Sinr_power_control] converts through the list API. *)
+(** [adjudicate_vec ?rng t ~active ~marks ~winners] — vector variant for
+    the zero-allocation slot loop. [active] holds the deduplicated
+    attempting links in first-occurrence order; [marks] is indexed by
+    link and nonzero exactly on the links of [active] (the channel's
+    per-slot attempt counts). [winners] is cleared and filled with the
+    succeeding subset in the exact order {!adjudicate} would return it
+    (so stochastic oracles consume randomness identically), and SINR
+    sums interference in the same float order. Conflict reads [marks]
+    once per conflict of each attempting link, O(Σ deg) per slot; the
+    other rules ignore it. Wireline, Mac, Conflict and SINR allocate
+    nothing; [Lossy] adds only its loss draws' boxed floats, and
+    [Sinr_power_control] converts through the list API. *)
 val adjudicate_vec :
   ?rng:Dps_prelude.Rng.t ->
   t ->
   active:Dps_prelude.Intvec.t ->
+  marks:int array ->
   winners:Dps_prelude.Intvec.t ->
   unit
 

@@ -63,6 +63,25 @@ let test_busy_slots_mac () =
   check_zero "10k solo mac slots" (fun () -> busy_loop channel solo);
   check_zero "10k colliding mac slots" (fun () -> busy_loop channel pair)
 
+(* The Conflict rule reads the channel's marks of the active set, one
+   pass over each attempting link's conflicts: a busy slot allocates
+   nothing however many links attempt. 24 links of a distance-2 grid
+   attempt, some winning and some blocked. *)
+let test_busy_slots_conflict () =
+  let module Conflict_graph = Dps_interference.Conflict_graph in
+  let cg =
+    Conflict_graph.distance2
+      (Dps_network.Topology.grid ~rows:10 ~cols:10 ~spacing:10.)
+  in
+  let m = Conflict_graph.size cg in
+  let channel = Channel.create ~oracle:(Oracle.Conflict cg) ~m () in
+  let attempts = Intvec.of_list (List.init 24 (fun i -> i * 23 mod m)) in
+  let won = Intvec.length (Channel.step_vec channel attempts) in
+  if won = 0 || won = 24 then
+    Alcotest.failf "fixture must mix winners and losers: %d of 24 won" won;
+  busy_loop channel attempts;
+  check_zero "10k busy conflict slots" (fun () -> busy_loop channel attempts)
+
 (* ------------------------------------------------- protocol slot loop *)
 
 (* Empty steady state: configured protocol, no arrivals — every slot runs
@@ -249,7 +268,8 @@ let () =
         [ quick "idle slots allocate nothing" test_idle_slots;
           quick "busy wireline slots allocate nothing" test_busy_slots_wireline;
           quick "busy mac slots allocate nothing" test_busy_slots_mac;
-          quick "busy sinr slots allocate nothing" test_busy_slots_sinr ] );
+          quick "busy sinr slots allocate nothing" test_busy_slots_sinr;
+          quick "busy conflict slots allocate nothing" test_busy_slots_conflict ] );
       ( "protocol",
         [ quick "run_frame slope pin (wireline/oneshot)" test_run_frame_wireline;
           quick "run_frame slope pin (mac/decay)" test_run_frame_decay ] );

@@ -337,6 +337,75 @@ let prop_degeneracy_order_always_permutation =
       Array.sort compare sorted;
       sorted = Array.init n Fun.id)
 
+(* The neighbourhood constructions against the all-pairs references
+   (test/reference.ml), on small graphs of every family: (model,
+   library graph, reference rows). *)
+let models g =
+  [ ("node constraint", Conflict_graph.node_constraint g, Reference.node_constraint g);
+    ("distance-2", Conflict_graph.distance2 g, Reference.distance2 g);
+    ("radio", Conflict_graph.radio_model g, Reference.radio_model g) ]
+  @ List.map
+      (fun delta ->
+        ( Printf.sprintf "protocol delta=%g" delta,
+          Conflict_graph.protocol_model g ~delta,
+          Reference.protocol_model g ~delta ))
+      [ 0.; 0.5; 1.; 2. ]
+
+let for_every_model (family, seed) check =
+  let g = Reference.graph ~family ~seed in
+  Graph.link_count g = 0
+  || List.for_all
+       (fun (model, cg, rows) ->
+         check cg rows || QCheck.Test.fail_reportf "%s differs" model)
+       (models g)
+
+let prop_conflict_rows_match_all_pairs =
+  QCheck.Test.make ~count:300 ~name:"conflict graphs equal the all-pairs constructions"
+    Reference.arb_graph
+    (fun case ->
+      for_every_model case (fun cg rows ->
+          let m = Array.length rows in
+          Array.init m (Conflict_graph.conflicts cg) = rows
+          && List.for_all
+               (fun e ->
+                 List.for_all
+                   (fun e' -> Conflict_graph.conflict cg e e' = Array.mem e' rows.(e))
+                   (List.init (m + 1) Fun.id))
+               (List.init m Fun.id)))
+
+let prop_create_matches_table =
+  QCheck.Test.make ~count:300 ~name:"create equals the table-built rows"
+    QCheck.(pair (int_range 1 12) (list (pair (int_range 0 11) (int_range 0 11))))
+    (fun (links, pairs) ->
+      let pairs = List.filter (fun (a, b) -> a < links && b < links) pairs in
+      let cg = Conflict_graph.create ~links ~conflicts:pairs in
+      Array.init links (Conflict_graph.conflicts cg) = Reference.rows ~links pairs)
+
+let prop_order_matches_scan =
+  QCheck.Test.make ~count:300 ~name:"smallest-last heap order equals the O(m^2) scan"
+    Reference.arb_graph
+    (fun case ->
+      for_every_model case (fun cg rows ->
+          Conflict_graph.degeneracy_order cg = Reference.degeneracy_order rows))
+
+let prop_measure_matches_rows =
+  QCheck.Test.make ~count:300 ~name:"slab-built measure equals the row-list measure"
+    Reference.arb_graph
+    (fun case ->
+      let row_of w e =
+        let acc = ref [] in
+        Measure.iter_row w e (fun e' x -> acc := (e', x, Measure.row_error w e) :: !acc);
+        !acc
+      in
+      for_every_model case (fun cg rows ->
+          let order = Conflict_graph.degeneracy_order cg in
+          let w = Conflict_graph.to_measure cg ~order in
+          let r = Reference.to_measure rows ~order in
+          Measure.nnz w = Measure.nnz r
+          && List.for_all
+               (fun e -> row_of w e = row_of r e)
+               (List.init (Array.length rows) Fun.id)))
+
 let () =
   let quick name f = Alcotest.test_case name `Quick f in
   Alcotest.run "interference"
@@ -373,4 +442,8 @@ let () =
             prop_interference_subadditive;
             prop_interference_scales;
             prop_identity_bounds_any_measure;
-            prop_degeneracy_order_always_permutation ] ) ]
+            prop_degeneracy_order_always_permutation;
+            prop_conflict_rows_match_all_pairs;
+            prop_create_matches_table;
+            prop_order_matches_scan;
+            prop_measure_matches_rows ] ) ]

@@ -3,7 +3,7 @@
    - [Request.measure_of_live] equals [Request.measure_of] on the same
      requests, on the dense, exact tiled and ε-sparsified tiled measures;
    - the tiled engine's on-demand columns hold exactly its row entries;
-   - vector SINR and lossy adjudication equal the list rules;
+   - vector SINR, conflict and lossy adjudication equal the list rules;
    - [Delay_select] equals the historical list implementation, kept here
      as the reference: same served set, slots, channel trace and rng
      stream;
@@ -127,10 +127,11 @@ let prop_vector_sinr =
       done;
       (* the list API receives the active set reversed *)
       let listed = List.rev (Intvec.to_list active) in
+      let marks = Array.map Bool.to_int seen in
       let winners = Intvec.create () in
       let same oracle =
         let r1 = Rng.create ~seed () and r2 = Rng.create ~seed () in
-        Oracle.adjudicate_vec ~rng:r1 oracle ~active ~winners;
+        Oracle.adjudicate_vec ~rng:r1 oracle ~active ~marks ~winners;
         Intvec.to_list winners = Oracle.adjudicate ~rng:r2 oracle listed
         && Rng.int r1 1_000_000 = Rng.int r2 1_000_000
       in
@@ -142,6 +143,34 @@ let prop_vector_sinr =
       && same (Oracle.Sinr phys)
       && same (Oracle.Lossy (Oracle.Sinr phys, 0.3))
       && same (Oracle.Lossy (Oracle.Lossy (Oracle.Wireline, 0.2), 0.5)))
+
+(* The Conflict rule reads the marked active set instead of testing
+   every ordered pair of attempting links; winners and their order stay
+   those of the list rule, alone and under Lossy. *)
+let prop_vector_conflict =
+  QCheck.Test.make ~count:200 ~name:"vector conflict adjudication is the list rule"
+    QCheck.(triple small_nat (int_range 1 30) (int_range 0 400))
+    (fun (seed, k, pairs) ->
+      let rng = Rng.create ~seed () in
+      let cg =
+        Dps_interference.Conflict_graph.create ~links
+          ~conflicts:(List.init pairs (fun _ -> (Rng.int rng links, Rng.int rng links)))
+      in
+      let active = Intvec.create () and marks = Array.make links 0 in
+      for _ = 1 to k do
+        let e = Rng.int rng links in
+        if marks.(e) = 0 then Intvec.push active e;
+        marks.(e) <- marks.(e) + 1
+      done;
+      let listed = List.rev (Intvec.to_list active) in
+      let winners = Intvec.create () in
+      let same oracle =
+        let r1 = Rng.create ~seed () and r2 = Rng.create ~seed () in
+        Oracle.adjudicate_vec ~rng:r1 oracle ~active ~marks ~winners;
+        Intvec.to_list winners = Oracle.adjudicate ~rng:r2 oracle listed
+        && Rng.int r1 1_000_000 = Rng.int r2 1_000_000
+      in
+      same (Oracle.Conflict cg) && same (Oracle.Lossy (Oracle.Conflict cg, 0.3)))
 
 (* ----------------------------------------------- delay-select reference *)
 
@@ -229,5 +258,6 @@ let () =
         List.map QCheck_alcotest.to_alcotest
           [ prop_measure_of_live;
             prop_vector_sinr;
+            prop_vector_conflict;
             prop_delay_select_reference;
             prop_sort ] ) ]

@@ -242,6 +242,47 @@ let prop_random_geometric_links_bidirectional =
           Option.is_some (Graph.find_link g ~src:l.Link.dst ~dst:l.Link.src))
         (Graph.links g))
 
+let pairs g =
+  let n = Graph.node_count g in
+  List.concat (List.init n (fun src -> List.init n (fun dst -> (src, dst))))
+
+let answer r (src, dst) =
+  (Option.map Path.hops (Routing.path r ~src ~dst), Routing.distance r ~src ~dst)
+
+(* Early-stopping searches against the all-pairs BFS table
+   (test/reference.ml), on small graphs of every family: every
+   (src, dst), unreachable pairs and src = dst included. *)
+let prop_routing_matches_table =
+  QCheck.Test.make ~count:300 ~name:"routing equals the all-pairs BFS table"
+    Reference.arb_graph
+    (fun (family, seed) ->
+      let g = Reference.graph ~family ~seed in
+      let r = Routing.make g and table = Reference.Routing.make g in
+      Routing.diameter r = Reference.Routing.diameter table
+      && List.for_all
+           (fun (src, dst) ->
+             answer r (src, dst)
+             = ( Option.map Path.hops (Reference.Routing.path table ~src ~dst),
+                 Reference.Routing.distance table ~src ~dst ))
+           (pairs g))
+
+(* One routing value, queried by two domains at once, answers as it
+   does on one: each domain searches in its own scratch. The graphs are
+   large enough (10,000 to 25,000 queries each) for the domains to
+   overlap; one scratch shared by both fails this within a case. *)
+let prop_routing_two_domains =
+  QCheck.Test.make ~count:5 ~name:"two domains query one routing as one does"
+    (QCheck.make
+       ~print:(fun (nodes, seed) -> Printf.sprintf "%d nodes, seed %d" nodes seed)
+       QCheck.Gen.(pair (int_range 100 160) nat))
+    (fun (nodes, seed) ->
+      let rng = Rng.create ~seed () in
+      let g = Topology.random_geometric rng ~nodes ~side:30. ~radius:7. in
+      let r = Routing.make g in
+      let all = pairs g in
+      Dps_par.Par.map ~chunk:1 ~jobs:2 (answer r) all
+      = Dps_par.Par.map ~jobs:1 (answer r) all)
+
 let () =
   let quick name f = Alcotest.test_case name `Quick f in
   Alcotest.run "network"
@@ -276,4 +317,6 @@ let () =
         List.map QCheck_alcotest.to_alcotest
           [ prop_routing_path_is_shortest;
             prop_grid_distance_is_manhattan;
-            prop_random_geometric_links_bidirectional ] ) ]
+            prop_random_geometric_links_bidirectional;
+            prop_routing_matches_table;
+            prop_routing_two_domains ] ) ]
