@@ -283,6 +283,87 @@ let test_golden_overloaded_cleanup () =
        2125.; 2234.; 2316.; 2448.; 2554. |]
     r.Protocol.potential
 
+(* --- Value pins for the slot loops outside the frame protocol: the
+   max-weight baseline on four oracle families and the Figure-1
+   lower-bound loop under both clocks. Recorded before these loops moved
+   off the list slot API; the move must not change a single decision. *)
+
+module Max_weight = Dps_core.Max_weight
+module Lower_bound = Dps_core.Lower_bound
+module Histogram = Dps_prelude.Histogram
+
+(* [count] single-generator flows between random distinct routable
+   nodes, drawn from [rng]. *)
+let random_flows rng g ~count ~rate =
+  let routing = Routing.make g in
+  let n = Graph.node_count g in
+  let gens = ref [] in
+  while List.length !gens < count do
+    let src = Rng.int rng n and dst = Rng.int rng n in
+    if src <> dst then
+      match Routing.path routing ~src ~dst with
+      | Some p -> gens := [ (p, rate) ] :: !gens
+      | None -> ()
+  done;
+  Stochastic.make !gens
+
+let check_max_weight ~oracle ~g ~count ~rate ~seed ~injected ~delivered
+    ~max_queue ~p50 ~p99 () =
+  let rng = Rng.create ~seed () in
+  let inj = random_flows rng g ~count ~rate in
+  let draw_rng = Rng.split rng in
+  let r =
+    Max_weight.run ~oracle ~m:(Graph.link_count g)
+      ~inject_slot:(fun slot -> Stochastic.draw inj draw_rng ~slot)
+      ~slots:3000 rng
+  in
+  Alcotest.(check int) "injected" injected r.Max_weight.injected;
+  Alcotest.(check int) "delivered" delivered r.Max_weight.delivered;
+  Alcotest.(check int) "max queue" max_queue r.Max_weight.max_queue;
+  Alcotest.(check (float 0.)) "latency p50" p50
+    (Histogram.quantile r.Max_weight.latency 0.5);
+  Alcotest.(check (float 0.)) "latency p99" p99
+    (Histogram.quantile r.Max_weight.latency 0.99)
+
+let test_max_weight_mac =
+  check_max_weight ~oracle:Oracle.Mac
+    ~g:(Topology.mac_channel ~stations:6)
+    ~count:6 ~rate:0.15 ~seed:51 ~injected:2714 ~delivered:2714 ~max_queue:19
+    ~p50:3. ~p99:27.
+
+let test_max_weight_conflict () =
+  let g = Topology.grid ~rows:3 ~cols:3 ~spacing:10. in
+  check_max_weight ~oracle:(Oracle.Conflict (Conflict_graph.distance2 g)) ~g
+    ~count:8 ~rate:0.06 ~seed:52 ~injected:1453 ~delivered:1452 ~max_queue:8
+    ~p50:2. ~p99:14. ()
+
+let sinr_instance () =
+  let rng = Rng.create ~seed:53 () in
+  let g = Topology.random_geometric rng ~nodes:12 ~side:40. ~radius:15. in
+  (g, Physics.make (Params.make ~noise:1e-9 ()) (Power.uniform 1.) g)
+
+let test_max_weight_sinr () =
+  let g, phys = sinr_instance () in
+  check_max_weight ~oracle:(Oracle.Sinr phys) ~g ~count:8 ~rate:0.09 ~seed:54
+    ~injected:2111 ~delivered:2109 ~max_queue:18 ~p50:4.
+    ~p99:19.920000000000073 ()
+
+let test_max_weight_lossy () =
+  let g, phys = sinr_instance () in
+  check_max_weight ~oracle:(Oracle.Lossy (Oracle.Sinr phys, 0.2)) ~g ~count:8
+    ~rate:0.09 ~seed:54 ~injected:2111 ~delivered:2109 ~max_queue:25 ~p50:9.
+    ~p99:44. ()
+
+let check_lower_bound clock ~delivered ~long_queue_final ~verdict () =
+  let r =
+    Lower_bound.run ~m:8 ~clock ~lambda:0.3 ~slots:4000 (Rng.create ~seed:55 ())
+  in
+  Alcotest.(check int) "delivered" delivered r.Lower_bound.delivered;
+  Alcotest.(check int) "long queue" long_queue_final
+    r.Lower_bound.long_queue_final;
+  Alcotest.(check string) "verdict" verdict
+    (Stability.to_string r.Lower_bound.verdict)
+
 let () =
   let quick name f = Alcotest.test_case name `Quick f in
   Alcotest.run "regressions"
@@ -290,7 +371,18 @@ let () =
         [ quick "measure-greedy + SINR power control (seed 4242)"
             test_golden_measure_greedy_sinr;
           quick "overloaded clean-up, conflict graph (seed 1717)"
-            test_golden_overloaded_cleanup ] );
+            test_golden_overloaded_cleanup;
+          quick "max-weight on mac (seed 51)" test_max_weight_mac;
+          quick "max-weight on distance-2 conflict (seed 52)"
+            test_max_weight_conflict;
+          quick "max-weight on sinr (seed 54)" test_max_weight_sinr;
+          quick "max-weight on lossy sinr (seed 54)" test_max_weight_lossy;
+          quick "lower bound, global clock (seed 55)"
+            (check_lower_bound Lower_bound.Global ~delivered:9711
+               ~long_queue_final:0 ~verdict:"stable");
+          quick "lower bound, local clock (seed 55)"
+            (check_lower_bound Lower_bound.Local ~delivered:8513
+               ~long_queue_final:1198 ~verdict:"unstable") ] );
       ( "fixed-bugs",
         [ quick "decay window exponent (Lemma 15 drift)" test_decay_drains_within_lemma15_budget;
           quick "linear growth detected unstable" test_linear_growth_is_unstable;
