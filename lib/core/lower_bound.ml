@@ -1,4 +1,5 @@
 module Rng = Dps_prelude.Rng
+module Intvec = Dps_prelude.Intvec
 module Timeseries = Dps_prelude.Timeseries
 module Topology = Dps_network.Topology
 module Params = Dps_sinr.Params
@@ -6,6 +7,7 @@ module Power = Dps_sinr.Power
 module Physics = Dps_sinr.Physics
 module Channel = Dps_sim.Channel
 module Oracle = Dps_sim.Oracle
+module Scratch = Dps_sim.Scratch
 
 type clock = Global | Local
 
@@ -35,6 +37,7 @@ let run ?phys ~m ~clock ~lambda ~slots rng =
   assert (m >= 2 && slots > 0 && lambda >= 0. && lambda <= 1.);
   let phys = match phys with Some p -> p | None -> physics ~m in
   let channel = Channel.create ~oracle:(Oracle.Sinr phys) ~m () in
+  let attempts = (Channel.scratch channel).Scratch.attempts in
   let long = m - 1 in
   let queues = Array.make m 0 in
   (* Local clocks: an arbitrary phase offset per link, unknowable to the
@@ -57,21 +60,22 @@ let run ?phys ~m ~clock ~lambda ~slots rng =
       end
     done;
     (* The even/odd rule against each link's own clock: short links fire on
-       their even slots, the long link on its odd slots. *)
-    let attempts = ref [] in
-    for e = 0 to m - 1 do
+       their even slots, the long link on its odd slots. Links attempt in
+       descending id order, the SINR summation order the goldens pin. *)
+    Intvec.clear attempts;
+    for e = m - 1 downto 0 do
       if queues.(e) > 0 then begin
         let local_parity = (slot + phase.(e)) mod 2 in
         let wants = if e = long then local_parity = 1 else local_parity = 0 in
-        if wants then attempts := e :: !attempts
+        if wants then Intvec.push attempts e
       end
     done;
-    let succeeded = Channel.step channel !attempts in
-    List.iter
-      (fun e ->
-        queues.(e) <- queues.(e) - 1;
-        incr delivered)
-      succeeded;
+    let succeeded = Channel.step channel attempts in
+    for i = 0 to Intvec.length succeeded - 1 do
+      let e = Intvec.get succeeded i in
+      queues.(e) <- queues.(e) - 1;
+      incr delivered
+    done;
     if slot mod sample_every = 0 then begin
       Timeseries.add long_series (float_of_int queues.(long));
       Timeseries.add total_series

@@ -1,10 +1,11 @@
 module Rng = Dps_prelude.Rng
+module Intvec = Dps_prelude.Intvec
 module Timeseries = Dps_prelude.Timeseries
 module Histogram = Dps_prelude.Histogram
-module Path = Dps_network.Path
-module Packet = Dps_sim.Packet
+module Arena = Dps_sim.Packet_arena
 module Oracle = Dps_sim.Oracle
 module Channel = Dps_sim.Channel
+module Scratch = Dps_sim.Scratch
 
 type report = {
   slots : int;
@@ -15,36 +16,75 @@ type report = {
   max_queue : int;
 }
 
-(* Greedy max-weight feasible set: links in decreasing queue-length order;
-   accept a link when the grown set remains fully served by the oracle. *)
-let greedy_set ?rng oracle weights =
-  let links =
-    List.filter (fun e -> weights.(e) > 0)
-      (List.init (Array.length weights) Fun.id)
-  in
-  let by_weight =
-    List.sort (fun a b -> compare weights.(b) weights.(a)) links
-  in
-  let feasible set =
-    let granted = Oracle.adjudicate ?rng oracle set in
-    List.length granted = List.length set
-  in
-  List.fold_left
-    (fun chosen e -> if feasible (e :: chosen) then e :: chosen else chosen)
-    [] by_weight
+(* The greedy set, over the channel's scratch:
+   - [spare]: the links with queued packets as sort keys
+     [(top - weight) · m + link], so ascending keys run by weight,
+     descending, ties by ascending id;
+   - [active]: the accepted links in acceptance order, then the
+     candidate under probe; [ia] marks them for the Conflict rule;
+   - [pending]: the probe's winners;
+   - [attempts]: the result, newest acceptance first.
+   For Lossy oracles the probe must not consume randomness, so it runs
+   against the deterministic core and losses land when the set
+   transmits. *)
+let greedy_set channel weights =
+  let rec core = function Oracle.Lossy (base, _) -> core base | o -> o in
+  let oracle = core (Channel.oracle channel) in
+  let m = Channel.size channel in
+  assert (Array.length weights = m);
+  let s = Channel.scratch channel in
+  let keys = s.Scratch.spare and accepted = s.Scratch.active in
+  let marks = s.Scratch.ia and winners = s.Scratch.pending in
+  let top = Array.fold_left Int.max 0 weights in
+  Intvec.clear keys;
+  for e = 0 to m - 1 do
+    marks.(e) <- 0;
+    if weights.(e) > 0 then Intvec.push keys (((top - weights.(e)) * m) + e)
+  done;
+  Intvec.sort keys;
+  Intvec.clear accepted;
+  for k = 0 to Intvec.length keys - 1 do
+    let e = Intvec.get keys k mod m in
+    Intvec.push accepted e;
+    marks.(e) <- 1;
+    Oracle.adjudicate oracle ~active:accepted ~marks ~winners;
+    if Intvec.length winners < Intvec.length accepted then begin
+      ignore (Intvec.pop accepted);
+      marks.(e) <- 0
+    end
+  done;
+  let chosen = s.Scratch.attempts in
+  Intvec.clear chosen;
+  for k = Intvec.length accepted - 1 downto 0 do
+    Intvec.push chosen (Intvec.get accepted k)
+  done;
+  chosen
 
 let run ~oracle ~m ~inject_slot ~slots ?sample rng =
   assert (m > 0 && slots > 0);
   let sample = Option.value ~default:(Int.max 1 (slots / 512)) sample in
-  (* For Lossy oracles: the feasibility probe must not consume randomness
-     differently from the transmission itself, so the greedy set is built
-     against the deterministic core and losses land at Channel.step. *)
-  let rec core = function Oracle.Lossy (base, _) -> core base | o -> o in
   let channel = Channel.create ~rng:(Rng.split rng) ~oracle ~m () in
-  let queues : Packet.t Queue.t array = Array.init m (fun _ -> Queue.create ()) in
+  (* Per-link FIFOs threaded through the arena's [next] chain, -1 =
+     empty; [weights] holds their lengths. *)
+  let arena = Arena.create () in
+  let head = Array.make m (-1) and tail = Array.make m (-1) in
   let weights = Array.make m 0 in
+  let enqueue p =
+    let link = Arena.next_link arena p in
+    Arena.set_next arena p (-1);
+    if tail.(link) < 0 then head.(link) <- p
+    else Arena.set_next arena tail.(link) p;
+    tail.(link) <- p;
+    weights.(link) <- weights.(link) + 1
+  in
+  let dequeue link =
+    let p = head.(link) in
+    head.(link) <- Arena.next arena p;
+    if head.(link) < 0 then tail.(link) <- -1;
+    weights.(link) <- weights.(link) - 1;
+    p
+  in
   let injected = ref 0 and delivered = ref 0 in
-  let next_id = ref 0 in
   let in_system = Timeseries.create () in
   let latency = Histogram.create ~reservoir:65536 () in
   let max_queue = ref 0 in
@@ -52,34 +92,22 @@ let run ~oracle ~m ~inject_slot ~slots ?sample rng =
   for slot = 0 to slots - 1 do
     List.iter
       (fun path ->
-        let p = Packet.make ~id:!next_id ~path ~injected_slot:slot in
-        incr next_id;
+        enqueue (Arena.alloc arena ~id:!injected ~path ~injected_slot:slot);
         incr injected;
-        incr in_flight;
-        let link = Packet.next_link p in
-        Queue.add p queues.(link);
-        weights.(link) <- weights.(link) + 1)
+        incr in_flight)
       (inject_slot slot);
-    let chosen = greedy_set (core oracle) weights in
-    let succeeded = Channel.step channel chosen in
-    List.iter
-      (fun link ->
-        let p = Queue.pop queues.(link) in
-        weights.(link) <- weights.(link) - 1;
-        Packet.advance p ~slot:(Channel.now channel);
-        if Packet.delivered p then begin
-          incr delivered;
-          decr in_flight;
-          match Packet.latency p with
-          | Some l -> Histogram.add latency rng (float_of_int l)
-          | None -> assert false
-        end
-        else begin
-          let next = Packet.next_link p in
-          Queue.add p queues.(next);
-          weights.(next) <- weights.(next) + 1
-        end)
-      succeeded;
+    let succeeded = Channel.step channel (greedy_set channel weights) in
+    for i = 0 to Intvec.length succeeded - 1 do
+      let p = dequeue (Intvec.get succeeded i) in
+      Arena.advance arena p ~slot:(Channel.now channel);
+      if Arena.delivered arena p then begin
+        incr delivered;
+        decr in_flight;
+        Histogram.add latency rng (float_of_int (Arena.latency arena p));
+        Arena.free arena p
+      end
+      else enqueue p
+    done;
     if !in_flight > !max_queue then max_queue := !in_flight;
     if slot mod sample = 0 then
       Timeseries.add in_system (float_of_int !in_flight)

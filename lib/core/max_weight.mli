@@ -38,5 +38,16 @@ val run :
   Dps_prelude.Rng.t ->
   report
 
+(** [greedy_set channel weights] — the greedy max-weight feasible set
+    for the per-link queue lengths [weights] under [channel]'s oracle,
+    with any {!Dps_sim.Oracle.Lossy} layers stripped (losses land when
+    the set transmits). Links with queued packets are scanned by weight,
+    descending, ties by ascending id; each is accepted when the oracle
+    grants the whole accepted set plus it, submitted in acceptance order
+    and then the candidate. Returns the set newest acceptance first, the
+    order {!run} transmits it in, in [channel]'s scratch [attempts]
+    vector: valid until the scratch's next borrower. *)
+val greedy_set : Dps_sim.Channel.t -> int array -> Dps_prelude.Intvec.t
+
 (** [verdict report] — stability assessment of the queue series. *)
 val verdict : report -> Stability.verdict

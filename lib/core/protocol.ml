@@ -172,14 +172,12 @@ type ptel = {
 (* Packets live in a preallocated structure-of-arrays arena and are
    referred to by int handles everywhere below; handles are recycled on
    delivery. The live set is an index vector stored TAIL-FIRST: index 0
-   is the oldest packet and [push] prepends to the logical newest-first
-   list the record implementation kept — so iteration head-to-tail is
-   [iter_rev], and O(1) pushes replace list consing. The per-link failed
-   buffers are intrusive FIFOs threaded through the arena's [next] field
+   is the oldest packet and [push] adds the newest, so the newest-first
+   processing order is a backward scan. The per-link failed buffers are
+   intrusive FIFOs threaded through the arena's [next] field
    ([failed_head]/[failed_tail], -1 = empty). Steady-state frames
-   allocate no minor words (test/test_alloc.ml pins this); all
-   processing orders are byte-identical to the historical
-   list-and-record implementation (test/pin_*.golden). *)
+   allocate no minor words (test/test_alloc.ml pins this); every
+   processing order below is one test/pin_*.golden pins. *)
 type t = {
   cfg : config;
   channel : Channel.t;
@@ -396,12 +394,13 @@ let emit_hop t p ~now ~phase ~ok =
 (* Phase 1: one shot of the static algorithm on every participating live
    packet's next hop. Failures become "failed" and join their link buffer.
 
-   Order bookkeeping (byte-identity with the list implementation): [live]
-   is tail-first, so [iter_rev] visits packets newest first — the order
-   [List.partition] preserved — making [parts]/[waiting] newest-first.
-   The rebuilt live list was [survivors in descending request order]
-   prepended onto [waiting]; tail-first that is reversed [waiting]
-   followed by survivors in ascending request order. *)
+   Order bookkeeping (the orders test/pin_*.golden pins): [live] is
+   tail-first, so the backward scan visits packets newest first, making
+   [parts] and [waiting] newest-first, and request [idx] is
+   [parts.(idx)]. The rebuilt [live], tail-first, is [waiting] reversed
+   followed by the survivors in ascending request order: the next
+   frame's newest-first scan sees the survivors in descending request
+   order, then the waiting packets newest first. *)
 let phase1 t rng =
   let a = t.arena in
   Intvec.clear t.parts;
@@ -458,11 +457,11 @@ let phase1 t rng =
    one with probability [cleanup_prob]; one more execution of the static
    algorithm serves the offered set.
 
-   The Bernoulli draws run in ascending link order (as the historical
-   [Array.iteri] scan did) while the offers were assembled by prepending —
-   so the request array, and everything downstream, sees links in
-   DESCENDING order. [offered_links] keeps the ascending scan order and
-   the serve loop walks it backwards. *)
+   The Bernoulli draws run in ascending link order, while the request
+   array, and everything downstream, sees the offered links in
+   DESCENDING order: the orders test/pin_*.golden pins. [offered_links]
+   keeps the ascending scan order and the serve loop walks it
+   backwards. *)
 let cleanup t rng =
   let a = t.arena in
   Intvec.clear t.offered_links;

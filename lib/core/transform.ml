@@ -11,6 +11,14 @@ let chi ~chi_factor ~chi_offset ~m =
 let halving_iterations ~i_val ~residue =
   if i_val <= residue then 0 else Util.ceil_log2 (i_val /. residue)
 
+(* Indices still unserved, in increasing order. *)
+let pending_indices served =
+  let acc = ref [] in
+  for idx = Array.length served - 1 downto 0 do
+    if not served.(idx) then acc := idx :: !acc
+  done;
+  !acc
+
 let residue_bound ~phi ~chi_val ~n =
   Float.max chi_val (2. *. Float.max phi 0.5 *. chi_val *. Util.log2 (float_of_int (n + 2)))
 
@@ -67,7 +75,7 @@ let apply ?(chi_factor = 2.) ?(chi_offset = 1.) ?(phi = 1.) (a : Algorithm.t) =
         Int.max 1
           (int_of_float (Float.ceil (2. ** float_of_int (1 - it) *. i_val /. chi_val)))
       in
-      let pending = Dps_static.Runner.pending_indices served in
+      let pending = pending_indices served in
       let buckets = Array.make classes [] in
       List.iter
         (fun idx ->
@@ -79,7 +87,7 @@ let apply ?(chi_factor = 2.) ?(chi_offset = 1.) ?(phi = 1.) (a : Algorithm.t) =
     (* Residue stage: a few plain executions of [a] on whatever is left. *)
     let tail_budget = a.Algorithm.duration ~m ~i:residue ~n:(Int.max n 1) in
     for _ = 1 to tail_rounds do
-      run_inner (Dps_static.Runner.pending_indices served) tail_budget
+      run_inner (pending_indices served) tail_budget
     done;
     { Algorithm.served; slots_used = !used }
   in

@@ -62,9 +62,8 @@ let make ?(phi = 1.) ?(delta = 0.5) () =
       Scratch.ensure_n sc n;
       let pending = sc.Scratch.pending in
       let attempts = sc.Scratch.attempts in
-      (* Unserved request indices, ascending — the order
-         [Runner.pending_indices] returned, which fixes the rng draw
-         order of both stages. *)
+      (* Unserved request indices, ascending: the rng draw order of both
+         stages, which the mac goldens pin. *)
       let refill_pending () =
         Intvec.clear pending;
         for idx = 0 to n - 1 do
@@ -75,7 +74,7 @@ let make ?(phi = 1.) ?(delta = 0.5) () =
          adjudicate; served requests are marked through [owner] (only
          collision-free links succeed, so the map is unambiguous). *)
       let serve_slot () =
-        let succeeded = Channel.step_vec channel attempts in
+        let succeeded = Channel.step channel attempts in
         for i = 0 to Intvec.length succeeded - 1 do
           served.(sc.Scratch.owner.(Intvec.get succeeded i)) <- true
         done;
@@ -93,11 +92,11 @@ let make ?(phi = 1.) ?(delta = 0.5) () =
             (int_of_float (q ** float_of_int (!i - 1) *. float_of_int n))
         in
         let window = Int.min window (budget - !used) in
-        (* Counting sort replaces the per-window bucket-of-lists array.
-           Draws happen in ascending pending order (pass 1); the fill
-           pass walks pending DESCENDING so each bucket region reads
-           newest-first — the prepend order of the historical bucket
-           lists. After the fill, [nc.(d)] is the end of region d. *)
+        (* A counting sort of the draws. Draws happen in ascending
+           pending order (pass 1); the fill pass walks pending
+           DESCENDING, so each slot submits its requests from the
+           highest index down, the order the mac goldens pin. After the
+           fill, [nc.(d)] is the end of region d. *)
         refill_pending ();
         let np = Intvec.length pending in
         for d = 0 to window - 1 do
@@ -146,20 +145,7 @@ let make ?(phi = 1.) ?(delta = 0.5) () =
             Intvec.push attempts link
           end
         done;
-        if serve_slot () > 0 then begin
-          (* Stable in-place compaction, as the list filter was. *)
-          let kept = ref 0 in
-          for k = 0 to Intvec.length pending - 1 do
-            let idx = Intvec.get pending k in
-            if not served.(idx) then begin
-              Intvec.set pending !kept idx;
-              incr kept
-            end
-          done;
-          while Intvec.length pending > !kept do
-            ignore (Intvec.pop pending)
-          done
-        end
+        if serve_slot () > 0 then Algorithm.drop_served served pending
       done
     end;
     { Algorithm.served; slots_used = !used }

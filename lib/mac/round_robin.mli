@@ -9,4 +9,5 @@
     Stations are identified with link ids; the channel oracle must be
     {!Dps_sim.Oracle.Mac} (any solo transmission succeeds). *)
 
+(** The algorithm; its duration estimate is [min (n + m) (ceil I + m)]. *)
 val algorithm : Dps_static.Algorithm.t

@@ -49,6 +49,10 @@ let pop t =
   t.len <- t.len - 1;
   Array.unsafe_get t.data t.len
 
+let truncate t n =
+  if n < 0 || n > t.len then invalid_arg "Intvec.truncate";
+  t.len <- n
+
 (* In-place heapsort: O(n log n) and no allocation, unlike [Array.sort]
    (whose sift-down raises an exception per call). [sift] is top level
    so no closure is built per sort. *)

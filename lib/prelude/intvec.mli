@@ -24,6 +24,10 @@ val pop : t -> int
 (** Remove and return the last element. Raises [Invalid_argument] when
     empty. *)
 
+val truncate : t -> int -> unit
+(** [truncate t n] keeps the first [n] elements. Raises
+    [Invalid_argument] unless [0 <= n <= length t]. *)
+
 val ensure_capacity : t -> int -> unit
 
 val sort : t -> unit

@@ -36,13 +36,13 @@ type t = {
   tel : tel option;
   scratch : Scratch.t;  (* borrowed by the algorithm driving this channel *)
   (* Slot-loop working vectors, reused every step so the steady state
-     allocates nothing. [v_succeeded] is the buffer [step_vec] returns:
+     allocates nothing. [v_succeeded] is the buffer [step] returns:
      owned by the channel, valid until the next step. *)
   v_filtered : Intvec.t;
   v_active : Intvec.t;
   v_winners : Intvec.t;
   v_succeeded : Intvec.t;
-  v_list_in : Intvec.t;  (* list-API shim: converted attempts *)
+  v_none : Intvec.t;  (* always empty: [idle]'s attempts *)
 }
 
 let create ?rng ?measure ?telemetry ?faults ?(jobs = 1) ~oracle ~m () =
@@ -94,7 +94,7 @@ let create ?rng ?measure ?telemetry ?faults ?(jobs = 1) ~oracle ~m () =
     v_active = Intvec.create ();
     v_winners = Intvec.create ();
     v_succeeded = Intvec.create ();
-    v_list_in = Intvec.create () }
+    v_none = Intvec.create () }
 
 let oracle t = t.oracle
 let size t = t.m
@@ -102,17 +102,16 @@ let now t = t.now
 let trace t = t.trace
 let scratch t = t.scratch
 
-(* One slot over an attempt vector (submission order = what the list API
-   would receive head first). Returns the channel-owned success vector,
-   in the same order the list API returns successes; valid until the next
-   step. The steady-state path allocates nothing.
+(* One slot over an attempt vector. Returns the channel-owned success
+   vector, valid until the next step. The steady-state path allocates
+   nothing.
 
-   Equivalence with the historical list implementation is load-bearing:
-   the active set is adjudicated and fed to the load tracker in the exact
-   same order (reverse first-occurrence), so oracle rng streams and the
-   float summation order of the measured interference are byte-identical
-   — test/pin_*.golden pins this. *)
-let step_vec t attempts =
+   Orders are load-bearing: the oracle adjudicates the distinct links
+   back to front from their first-occurrence order, and the load tracker
+   sums them in that same reverse first-occurrence order, so oracle rng
+   streams and the float summation order of the measured interference
+   stay what test/pin_*.golden pins. *)
+let step t attempts =
   (* Fault layer, part 1: advance episodes and remove outaged attempts
      before anything else — a link in outage cannot transmit, so it
      neither collides nor radiates interference. *)
@@ -130,7 +129,7 @@ let step_vec t attempts =
   in
   if Intvec.is_empty attempts then begin
     Intvec.clear t.v_succeeded;
-    Trace.record_vec t.trace ~attempted:attempts ~succeeded:t.v_succeeded;
+    Trace.record t.trace ~attempted:attempts ~succeeded:t.v_succeeded;
     (match t.tel with None -> () | Some h -> Metrics.incr h.c_slots);
     t.now <- t.now + 1;
     t.v_succeeded
@@ -152,13 +151,12 @@ let step_vec t attempts =
     (match t.tracker with
     | None -> ()
     | Some tracker ->
-      (* Reverse first-occurrence order: identical float summation order
-         to the list path's [List.iter ... active]. *)
+      (* Reverse first-occurrence order, the adjudication order. *)
       for i = Intvec.length t.v_active - 1 downto 0 do
         Load_tracker.add tracker (Intvec.get t.v_active i)
       done;
       Trace.record_interference t.trace (Load_tracker.interference tracker));
-    Oracle.adjudicate_vec ?rng:t.rng t.oracle ~active:t.v_active
+    Oracle.adjudicate ?rng:t.rng t.oracle ~active:t.v_active
       ~marks:t.counts ~winners:t.v_winners;
     Intvec.clear t.v_succeeded;
     for i = 0 to Intvec.length t.v_winners - 1 do
@@ -168,9 +166,9 @@ let step_vec t attempts =
     (* Fault layer, part 2: jam / correlated-loss / degradation drops of
        adjudicated winners. These transmissions radiated interference
        and consumed the slot but fail after the fact; channel telemetry
-       counts them as denied. In-place stable compaction keeps the
-       success order (and any rng the drop hook consumes) identical to
-       the list path's [List.filter]. *)
+       counts them as denied. The hook sees the winners in adjudication
+       order (so any rng it consumes is drawn in that order), and the
+       in-place compaction keeps the survivors in it. *)
     (match t.faults with
     | None -> ()
     | Some f ->
@@ -192,9 +190,7 @@ let step_vec t attempts =
           incr kept
         end
       done;
-      while Intvec.length t.v_succeeded > !kept do
-        ignore (Intvec.pop t.v_succeeded)
-      done);
+      Intvec.truncate t.v_succeeded !kept);
     (match t.tracker with
     | None -> ()
     | Some tracker -> Load_tracker.reset tracker);
@@ -219,22 +215,13 @@ let step_vec t attempts =
     for i = 0 to Intvec.length t.v_active - 1 do
       t.counts.(Intvec.get t.v_active i) <- 0
     done;
-    Trace.record_vec t.trace ~attempted:attempts ~succeeded:t.v_succeeded;
+    Trace.record t.trace ~attempted:attempts ~succeeded:t.v_succeeded;
     t.now <- t.now + 1;
     t.v_succeeded
   end
 
-(* List API, now a shim over [step_vec]: same order contracts, so the
-   results are identical to the historical list implementation; only the
-   cold callers (tests, SINR-family algorithms) pay the conversions. *)
-let step t attempts =
-  Intvec.clear t.v_list_in;
-  List.iter (fun e -> Intvec.push t.v_list_in e) attempts;
-  Intvec.to_list (step_vec t t.v_list_in)
-
 let idle t ~slots =
   assert (slots >= 0);
   for _ = 1 to slots do
-    Intvec.clear t.v_list_in;
-    ignore (step_vec t t.v_list_in)
+    ignore (step t t.v_none)
   done

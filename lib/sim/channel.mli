@@ -71,6 +71,7 @@ val create :
   unit ->
   t
 
+(** The adjudication rule the channel was created with. *)
 val oracle : t -> Oracle.t
 
 (** Number of links [m]. *)
@@ -82,20 +83,16 @@ val now : t -> int
 (** Channel accounting so far. *)
 val trace : t -> Trace.t
 
-(** [step t attempts] — run one slot. [attempts] lists attempting link ids;
-    if a link id appears more than once, all of its attempts collide and
-    fail, but they still contribute interference to the oracle. Returns the
-    set of link ids that transmitted successfully. *)
-val step : t -> int list -> int list
-
-(** [step_vec t attempts] — the zero-allocation variant of {!step}: one
-    slot over an attempt vector (same submission-order semantics).
-    Returns the channel-owned success vector, in the same order {!step}
-    returns successes; it is valid only until the next step, so consume
-    or copy it first. The steady-state path allocates no minor words
-    (test/test_alloc.ml pins this); results are byte-identical to
-    {!step} — which is now a shim over this function. *)
-val step_vec : t -> Dps_prelude.Intvec.t -> Dps_prelude.Intvec.t
+(** [step t attempts] — run one slot over the attempting link ids, in
+    submission order. If a link id appears more than once, all of its
+    attempts collide and fail, but they still contribute interference
+    to the oracle. The oracle sees the distinct links in first-occurrence
+    order (see {!Oracle.adjudicate} for the order it adjudicates them
+    in). Returns the channel-owned vector of links that transmitted
+    successfully, in adjudication order; it is valid only until the
+    next step, so consume or copy it first. The steady-state path
+    allocates no minor words (test/test_alloc.ml pins this). *)
+val step : t -> Dps_prelude.Intvec.t -> Dps_prelude.Intvec.t
 
 (** [idle t ~slots] — let [slots] empty slots pass. *)
 val idle : t -> slots:int -> unit

@@ -22,27 +22,30 @@ type t =
           probability. The probability must lie in [0, 1] and randomness
           is required: see {!adjudicate}'s [rng]. *)
 
-(** [adjudicate ?rng t attempts] — for the deduplicated set of attempting
-    link ids, the subset that succeeds. [rng] is required by {!Lossy}
-    (raises [Invalid_argument] when missing) and ignored by the
-    deterministic models. Raises [Invalid_argument] when a {!Lossy}
-    probability lies outside [0, 1] — a drop probability would otherwise
-    silently degenerate to the clamped Bernoulli. *)
-val adjudicate : ?rng:Dps_prelude.Rng.t -> t -> int list -> int list
+(** [adjudicate ?rng t ~active ~marks ~winners] — which of this slot's
+    attempting links succeed. [active] holds the deduplicated attempting
+    links in first-occurrence order; [marks] is indexed by link and
+    nonzero exactly on the links of [active] (the channel's per-slot
+    attempt counts). [winners] is cleared and filled with the succeeding
+    subset.
 
-(** [adjudicate_vec ?rng t ~active ~marks ~winners] — vector variant for
-    the zero-allocation slot loop. [active] holds the deduplicated
-    attempting links in first-occurrence order; [marks] is indexed by
-    link and nonzero exactly on the links of [active] (the channel's
-    per-slot attempt counts). [winners] is cleared and filled with the
-    succeeding subset in the exact order {!adjudicate} would return it
-    (so stochastic oracles consume randomness identically), and SINR
-    sums interference in the same float order. Conflict reads [marks]
-    once per conflict of each attempting link, O(Σ deg) per slot; the
-    other rules ignore it. Wireline, Mac, Conflict and SINR allocate
-    nothing; [Lossy] adds only its loss draws' boxed floats, and
-    [Sinr_power_control] converts through the list API. *)
-val adjudicate_vec :
+    Every rule visits [active] from its last element to its first and
+    pushes winners in that order; SINR sums each link's interference in
+    the same order, and {!Lossy} draws one loss per base-rule winner in
+    winner order. The fixed-seed goldens pin these orders, and with them
+    the rng stream and every float sum. Conflict reads [marks] once per
+    conflict of each attempting link, O(Σ deg) per slot; the other rules
+    ignore it. Wireline, Mac, Conflict and SINR allocate nothing; [Lossy]
+    adds only its loss draws' boxed floats, and [Sinr_power_control]
+    runs its list-shaped search on a list of [active] from last to
+    first.
+
+    [rng] is required by {!Lossy} (raises [Invalid_argument] when
+    missing) and ignored by the deterministic models. Raises
+    [Invalid_argument] when a {!Lossy} probability lies outside [0, 1] —
+    a drop probability would otherwise silently degenerate to the
+    clamped Bernoulli. *)
+val adjudicate :
   ?rng:Dps_prelude.Rng.t ->
   t ->
   active:Dps_prelude.Intvec.t ->

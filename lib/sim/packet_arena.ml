@@ -1,20 +1,17 @@
 (* Preallocated structure-of-arrays packet storage.
 
-   The protocol's hot loop used to allocate one [Packet.t] record per
-   arrival and cons cells for every queue operation; the arena replaces
-   both with int-array fields indexed by a packet handle (an int), plus a
-   free list threaded through [next] so delivered and shed packets are
-   recycled in place. Steady state allocates nothing: the arrays double
-   on exhaustion and then plateau at the peak in-flight population.
+   Packets are int-array fields indexed by a packet handle (an int),
+   plus a free list threaded through [next] so delivered and shed
+   packets are recycled in place: no record per arrival and no cons cell
+   per queue operation. Steady state allocates nothing: the arrays
+   double on exhaustion and then plateau at the peak in-flight
+   population.
 
    The [next] field is dual-use — free-list chain for free slots, and
-   intrusive FIFO chain while a packet waits in a per-link failed buffer
-   (see Protocol). A packet is in at most one queue at a time, so one
-   link field suffices.
-
-   Field semantics mirror [Packet.t] exactly (test/test_arena.ml checks
-   the two stay event-for-event equivalent on random scenarios):
-   [delivered_slot] uses -1 for "in flight" instead of [None]. *)
+   intrusive FIFO chain while a packet waits in a per-link queue (see
+   Protocol and Max_weight). A packet is in at most one queue at a time,
+   so one link field suffices. [delivered_slot] uses -1 for "in flight";
+   test/test_arena.ml holds the fields to a plain record model. *)
 
 module Path = Dps_network.Path
 
@@ -105,7 +102,7 @@ let free t p =
   t.free_head <- p;
   t.live <- t.live - 1
 
-(* --- field accessors (mirroring Packet) --- *)
+(* --- field accessors --- *)
 
 let id t p = t.id.(p)
 let path t p = t.path.(p)

@@ -61,15 +61,15 @@ let create ?(jobs = 1) ~m () =
     nc = Array.make 16 0;
     tracker = None }
 
+(* Top level, so that [ensure_n] builds no closure. *)
+let grow n a =
+  if n > Array.length a then Array.make (Int.max n (2 * Array.length a)) 0
+  else a
+
 let ensure_n t n =
-  let grow a =
-    if n > Array.length a then
-      Array.make (Int.max n (2 * Array.length a)) 0
-    else a
-  in
-  t.na <- grow t.na;
-  t.nb <- grow t.nb;
-  t.nc <- grow t.nc
+  t.na <- grow n t.na;
+  t.nb <- grow n t.nb;
+  t.nc <- grow n t.nc
 
 (* One tracker per channel, created on first use and reused for every
    later run over the physically same measure — hoisting the O(m)

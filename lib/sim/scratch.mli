@@ -35,7 +35,7 @@ val create : ?jobs:int -> m:int -> unit -> t
     tracker; results never depend on it. *)
 
 val ensure_n : t -> int -> unit
-(** Grow [na]/[nb] to hold at least [n] entries. *)
+(** Grow [na]/[nb]/[nc] to hold at least [n] entries. *)
 
 val tracker : t -> Dps_interference.Measure.t -> Dps_interference.Load_tracker.t
 (** The channel's cached load tracker for [measure], created on first

@@ -42,25 +42,9 @@ let mean_interference t =
   if t.interference_slots = 0 then 0.
   else t.interference_sum /. float_of_int t.interference_slots
 
+(* Link order is irrelevant here — only counts are kept. Index loops,
+   not [Intvec.iter]: a capturing closure would allocate every slot. *)
 let record t ~attempted ~succeeded =
-  t.slots <- t.slots + 1;
-  (match attempted with [] -> () | _ -> t.busy_slots <- t.busy_slots + 1);
-  List.iter
-    (fun e ->
-      t.attempts <- t.attempts + 1;
-      t.attempts_on.(e) <- t.attempts_on.(e) + 1)
-    attempted;
-  List.iter
-    (fun e ->
-      t.successes <- t.successes + 1;
-      t.successes_on.(e) <- t.successes_on.(e) + 1)
-    succeeded
-
-(* Vector variant of [record] for the zero-allocation slot loop: folds the
-   same counters without consing. Link order is irrelevant here — only
-   counts are kept. Index loops, not [Intvec.iter]: a capturing closure
-   would allocate every slot. *)
-let record_vec t ~attempted ~succeeded =
   let module V = Dps_prelude.Intvec in
   t.slots <- t.slots + 1;
   let na = V.length attempted in

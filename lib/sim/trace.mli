@@ -6,6 +6,7 @@
 
 type t
 
+(** [create ~m] — zeroed counters for an [m]-link channel. *)
 val create : m:int -> t
 
 (** Total slots elapsed. *)
@@ -26,12 +27,9 @@ val successes_on : t -> int -> int
 (** [attempts_on t e] — attempts on link [e]. *)
 val attempts_on : t -> int -> int
 
-(** [record t ~attempted ~succeeded] — fold one slot into the counters. *)
-val record : t -> attempted:int list -> succeeded:int list -> unit
-
-(** [record_vec] — same, from link vectors; allocates nothing (the
-    hot-loop variant used by {!Channel.step_vec}). *)
-val record_vec :
+(** [record t ~attempted ~succeeded] — fold one slot's attempted and
+    successful links into the counters; allocates nothing. *)
+val record :
   t ->
   attempted:Dps_prelude.Intvec.t ->
   succeeded:Dps_prelude.Intvec.t ->
@@ -50,4 +48,5 @@ val peak_interference : t -> float
     [0.] when none recorded. *)
 val mean_interference : t -> float
 
+(** [pp] prints the slot, busy-slot, attempt and success totals. *)
 val pp : Format.formatter -> t -> unit

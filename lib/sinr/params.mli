@@ -11,4 +11,5 @@ type t = { alpha : float; beta : float; noise : float }
     Requires [alpha > 0.], [beta > 0.], [noise >= 0.]. *)
 val make : ?alpha:float -> ?beta:float -> ?noise:float -> unit -> t
 
+(** [pp] prints the three parameters. *)
 val pp : Format.formatter -> t -> unit

@@ -67,19 +67,7 @@ let[@inline] ratio t e interference =
   let denom = interference +. t.prm.Params.noise in
   if denom <= 0. then infinity else t.sig_strength.(e) /. denom
 
-let sinr t ~active e =
-  let interference =
-    List.fold_left
-      (fun acc e' ->
-        if e' = e then acc else acc +. interference_from t ~src:e' ~dst:e)
-      0. active
-  in
-  ratio t e interference
-
-let feasible t ~active e = sinr t ~active e >= t.prm.Params.beta
-let feasible_set t links = List.for_all (feasible t ~active:links) links
-
-let[@inline] sinr_vec t ~active e =
+let[@inline] sinr t ~active e =
   let interference = ref 0. in
   for i = Intvec.length active - 1 downto 0 do
     let e' = Intvec.get active i in
@@ -88,7 +76,13 @@ let[@inline] sinr_vec t ~active e =
   done;
   ratio t e !interference
 
-let feasible_vec t ~active e = sinr_vec t ~active e >= t.prm.Params.beta
+let feasible t ~active e = sinr t ~active e >= t.prm.Params.beta
+
+(* [sinr] sums from the last element down, so the reversed list sums in
+   list order. *)
+let feasible_set t links =
+  let active = Intvec.of_list (List.rev links) in
+  List.for_all (feasible t ~active) links
 
 let length_ratio t =
   let lo = ref infinity and hi = ref 0. in

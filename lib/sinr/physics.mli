@@ -9,7 +9,10 @@ type t
     zero length. *)
 val make : Params.t -> Power.t -> Dps_network.Graph.t -> t
 
+(** The parameters the physics was built with. *)
 val params : t -> Params.t
+
+(** The network the physics was built over. *)
 val graph : t -> Dps_network.Graph.t
 
 (** Number of links. *)
@@ -29,27 +32,20 @@ val signal : t -> int -> float
     ([p(src) / d(sender src, receiver dst)^alpha]). Requires [src <> dst]. *)
 val interference_from : t -> src:int -> dst:int -> float
 
-(** [sinr t ~active e] — the signal-to-interference-plus-noise ratio of link
-    [e] when the links in [active] transmit simultaneously ([e] itself is
-    skipped if present); [infinity] when there is neither interference nor
-    noise. *)
-val sinr : t -> active:int list -> int -> float
+(** [sinr t ~active e] — the signal-to-interference-plus-noise ratio of
+    link [e] when the links in [active] transmit simultaneously ([e]
+    itself is skipped if present); [infinity] when there is neither
+    interference nor noise. The interference is summed over [active]
+    from its last element to its first; the fixed-seed goldens pin that
+    float order. Allocates nothing. *)
+val sinr : t -> active:Dps_prelude.Intvec.t -> int -> float
 
 (** [feasible t ~active e] — does [e]'s transmission succeed, i.e. is
-    [sinr t ~active e >= beta]? *)
-val feasible : t -> active:int list -> int -> bool
-
-(** [sinr_vec t ~active e] is [sinr t ~active:l e] for [l] the elements
-    of [active] from last to first — the order the channel's adjudication
-    has always summed in — bit for bit. *)
-val sinr_vec : t -> active:Dps_prelude.Intvec.t -> int -> float
-
-(** [feasible_vec t ~active e] is [sinr_vec t ~active e >= beta], without
-    allocating. *)
-val feasible_vec : t -> active:Dps_prelude.Intvec.t -> int -> bool
+    [sinr t ~active e >= beta]? Allocates nothing. *)
+val feasible : t -> active:Dps_prelude.Intvec.t -> int -> bool
 
 (** [feasible_set t links] — do all the given simultaneous transmissions
-    succeed together? *)
+    succeed together? Each link's interference is summed in list order. *)
 val feasible_set : t -> int list -> bool
 
 (** [length_ratio t] — Δ, the ratio of longest to shortest link length. *)

@@ -19,9 +19,17 @@ val name : t -> string
     length under path-loss exponent [alpha]. *)
 val power : t -> length:float -> alpha:float -> float
 
+(** [uniform p] — every link transmits at power [p]. *)
 val uniform : float -> t
+
+(** [linear c] — [p = c · d^alpha]: every link's received signal
+    strength is [c]. *)
 val linear : float -> t
+
+(** [square_root c] — [p = c · d^(alpha/2)], the mean-power scheme. *)
 val square_root : float -> t
+
+(** [custom ~name f] — power [f ~length ~alpha], displayed as [name]. *)
 val custom : name:string -> (length:float -> alpha:float -> float) -> t
 
 (** [is_monotone_sublinear t ~alpha ~lengths] checks the Section 6.1

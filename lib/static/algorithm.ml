@@ -19,6 +19,18 @@ let execute t ~channel ~rng ~measure ~requests =
   let budget = t.duration ~m ~i ~n in
   t.run ~channel ~rng ~measure ~requests ~budget
 
+let drop_served served pending =
+  let module V = Dps_prelude.Intvec in
+  let kept = ref 0 in
+  for k = 0 to V.length pending - 1 do
+    let idx = V.get pending k in
+    if not served.(idx) then begin
+      V.set pending !kept idx;
+      incr kept
+    end
+  done;
+  V.truncate pending !kept
+
 let all_served o = Array.for_all Fun.id o.served
 
 let served_count o =

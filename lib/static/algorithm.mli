@@ -41,6 +41,11 @@ val execute :
   requests:Request.t array ->
   outcome
 
+(** [drop_served served pending] — remove from [pending] every request
+    index that [served] marks, keeping the others in order; allocates
+    nothing. *)
+val drop_served : bool array -> Dps_prelude.Intvec.t -> unit
+
 (** [all_served o] — did every request get through? *)
 val all_served : outcome -> bool
 

@@ -8,18 +8,18 @@ module Scratch = Dps_sim.Scratch
 
    - [pending]: unserved request indices, ascending, compacted in place
      after every round;
-   - [nb]: the slot each pending request drew, in [pending] order (the
-     rng stream of the historical list implementation, which drew in
-     ascending index order);
+   - [nb]: the slot each pending request drew, in [pending] order, so
+     the draws run in ascending index order;
    - [nc]: slot region starts of a counting sort of the draws, and [na]
      the request indices grouped by slot. Each region is filled from the
-     highest index down, the order the historical per-slot bucket lists
-     had (they were built by prepending), so the channel sees the same
-     attempt vectors;
+     highest index down, so each slot submits its requests in
+     descending index order;
    - [owner]: link -> request index for this slot's attempts. A link the
      channel reports as successful carried exactly one attempt.
 
-   The round's interference is [Request.measure_of_live] over [pending]:
+   Those draw and submission orders are the ones the fixed-seed goldens
+   pin; test/reference.ml states them as a list implementation. The
+   round's interference is [Request.measure_of_live] over [pending]:
    proportional to the live links' columns, not to m. The run allocates
    only its [served] array and outcome. *)
 let make ?(c = 4.) ?(window_floor = 8) ?(slack = 4) () =
@@ -72,23 +72,13 @@ let make ?(c = 4.) ?(window_floor = 8) ?(slack = 4) () =
           s.Scratch.owner.(link) <- idx;
           Intvec.push attempts link
         done;
-        let succeeded = Channel.step_vec channel attempts in
+        let succeeded = Channel.step channel attempts in
         for i = 0 to Intvec.length succeeded - 1 do
           served.(s.Scratch.owner.(Intvec.get succeeded i)) <- true
         done;
         incr used
       done;
-      let kept = ref 0 in
-      for p = 0 to np - 1 do
-        let idx = Intvec.get pending p in
-        if not served.(idx) then begin
-          Intvec.set pending !kept idx;
-          incr kept
-        end
-      done;
-      while Intvec.length pending > !kept do
-        ignore (Intvec.pop pending)
-      done
+      Algorithm.drop_served served pending
     done;
     { Algorithm.served; slots_used = !used }
   in

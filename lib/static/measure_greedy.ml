@@ -16,12 +16,13 @@ let make ?(budget = 0.5) ?(slack = 8) ~priority () =
     let served = Array.make n false in
     let used = ref 0 in
     (* Fixed processing order: by priority of the requested link, ties by
-       request index so the schedule is deterministic. *)
+       request index so the schedule is deterministic. Each priority is
+       computed once, not twice per comparison. *)
+    let key = Array.init n (fun idx -> priority requests.(idx).Request.link) in
     let order = Array.init n Fun.id in
     Array.sort
       (fun a b ->
-        let pa = priority requests.(a).Request.link
-        and pb = priority requests.(b).Request.link in
+        let pa = key.(a) and pb = key.(b) in
         if pa = pb then compare a b else compare pa pb)
       order;
     (* One tracker for the whole run, cached on the channel's scratch so
@@ -32,9 +33,9 @@ let make ?(budget = 0.5) ?(slack = 8) ~priority () =
     let s = Channel.scratch channel in
     let tracker = Scratch.tracker s measure in
     let in_round = s.Scratch.flags in
-    (* Accepted request indices in acceptance order; the historical list
-       implementation prepended, so the channel must see the links
-       REVERSED (newest acceptance first). *)
+    (* Accepted request indices in acceptance order; the round is
+       submitted newest acceptance first, the order the fixed-seed
+       goldens pin. *)
     let round = s.Scratch.pending in
     let attempts = s.Scratch.attempts in
     (* Accept [candidate] if its own incoming load over the current
@@ -99,7 +100,7 @@ let make ?(budget = 0.5) ?(slack = 8) ~priority () =
         for k = Intvec.length round - 1 downto 0 do
           Intvec.push attempts requests.(Intvec.get round k).Request.link
         done;
-        let succeeded = Channel.step_vec channel attempts in
+        let succeeded = Channel.step channel attempts in
         let ns = Intvec.length succeeded in
         for i = 0 to ns - 1 do
           served.(s.Scratch.owner.(Intvec.get succeeded i)) <- true

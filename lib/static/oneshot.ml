@@ -8,9 +8,8 @@ module Intvec = Dps_prelude.Intvec
    The request queues live in the channel's scratch as a CSR layout:
    [na] holds all request indices grouped by link ([ia] = head cursor,
    [ib] = region end), and [active] lists the links with nonempty queues
-   in DESCENDING link order — the order the historical list
-   implementation produced by prepending during an ascending
-   [Array.iteri] scan. Per slot the active vector IS the attempt set
+   in DESCENDING link order, the submission order the fixed-seed goldens
+   pin. Per slot the active vector IS the attempt set
    (one head per link), emptied links are compacted out in place, and
    nothing is allocated: the whole run heap-allocates only the [served]
    array, the outcome record and two loop refs, independent of the
@@ -55,7 +54,7 @@ let algorithm =
     let used = ref 0 in
     let kept = ref 0 in
     while !used < budget && not (Intvec.is_empty s.Scratch.active) do
-      let succeeded = Channel.step_vec channel s.Scratch.active in
+      let succeeded = Channel.step channel s.Scratch.active in
       for i = 0 to Intvec.length succeeded - 1 do
         let link = Intvec.get succeeded i in
         served.(s.Scratch.na.(s.Scratch.ia.(link))) <- true;
@@ -70,9 +69,7 @@ let algorithm =
           incr kept
         end
       done;
-      while Intvec.length s.Scratch.active > !kept do
-        ignore (Intvec.pop s.Scratch.active)
-      done;
+      Intvec.truncate s.Scratch.active !kept;
       incr used
     done;
     { Algorithm.served; slots_used = !used }

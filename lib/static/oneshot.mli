@@ -6,4 +6,5 @@
     succeeds, so the schedule length is exactly the congestion
     [max_e R(e) = I]. *)
 
+(** The algorithm; its duration estimate is [min (ceil I) n]. *)
 val algorithm : Algorithm.t

@@ -5,6 +5,7 @@
 
 type t = { link : int; key : int }
 
+(** [make ~link ~key] — a request for link [link >= 0]. *)
 val make : link:int -> key:int -> t
 
 (** [load ~m reqs] — the per-link load vector [R] of the requests. *)

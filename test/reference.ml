@@ -1,17 +1,35 @@
-(* The all-pairs implementations the library replaced, kept as test
-   oracles: conflict graphs that judge every pair of links, the O(m²)
-   smallest-last scan, the measure built from row lists, and routing
-   from a V×V table of breadth-first searches. They are slow and
-   obviously right; test_interference and test_network hold the library
-   to them on the random small graphs of [graph]. *)
+(* The plain implementations the library replaced, kept as test
+   oracles:
+   - conflict graphs that judge every pair of links, the O(m²)
+     smallest-last scan, the measure built from row lists, and routing
+     from a V×V table of breadth-first searches (test_interference and
+     test_network hold the library to them on the random small graphs
+     of [graph]);
+   - the slot semantics on lists: the oracle rules, the SINR fold, and
+     the list-driven contention, delay-select and max-weight greedy set
+     (test_live_round, test_static and test_max_weight hold the vector
+     slot loop to them);
+   - [Lists], the one adapter through which tests that speak lists call
+     the library's vector slot API.
+   They are slow and obviously right. *)
 
 module Rng = Dps_prelude.Rng
+module Intvec = Dps_prelude.Intvec
 module Point = Dps_geometry.Point
 module Graph = Dps_network.Graph
 module Link = Dps_network.Link
 module Path = Dps_network.Path
 module Topology = Dps_network.Topology
 module Measure = Dps_interference.Measure
+module Conflict_graph = Dps_interference.Conflict_graph
+module Params = Dps_sinr.Params
+module Physics = Dps_sinr.Physics
+module Power_control = Dps_sinr.Power_control
+module Oracle = Dps_sim.Oracle
+module Channel = Dps_sim.Channel
+module Request = Dps_static.Request
+module Algorithm = Dps_static.Algorithm
+module Scratch = Dps_sim.Scratch
 
 (* ------------------------------------------------------ random graphs *)
 
@@ -206,3 +224,193 @@ module Routing = struct
   let diameter t =
     Array.fold_left (Array.fold_left Int.max) 0 t.dist
 end
+
+(* ---------------------------------------------------- list slot adapter *)
+
+(* The library's slot API on lists. A list names links in the order the
+   rules see them: [Physics.sinr] and [Oracle.adjudicate] walk their
+   vector back to front, so the vector is the reversed list. *)
+module Lists = struct
+  let rev_vec l = Intvec.of_list (List.rev l)
+
+  (* [step channel attempts] — one slot, attempts submitted head first;
+     the successes in the order the channel returns them. *)
+  let step channel attempts =
+    Intvec.to_list (Channel.step channel (Intvec.of_list attempts))
+
+  let sinr phys ~active e = Physics.sinr phys ~active:(rev_vec active) e
+  let feasible phys ~active e = Physics.feasible phys ~active:(rev_vec active) e
+
+  (* [adjudicate ?rng oracle attempts] — the library's rule over the
+     deduplicated [attempts], winners in the order it pushes them. *)
+  let adjudicate ?rng oracle attempts =
+    let rec links = function
+      | Oracle.Conflict cg -> Conflict_graph.size cg
+      | Oracle.Lossy (base, _) -> links base
+      | _ -> 0
+    in
+    let m = List.fold_left (fun m e -> Int.max m (e + 1)) (links oracle) attempts in
+    let marks = Array.make m 0 in
+    List.iter (fun e -> marks.(e) <- 1) attempts;
+    let winners = Intvec.create () in
+    Oracle.adjudicate ?rng oracle ~active:(rev_vec attempts) ~marks ~winners;
+    Intvec.to_list winners
+end
+
+(* --------------------------------------------------- list slot semantics *)
+
+(* The oracle rules on a deduplicated attempt list, and the SINR fold
+   they use: interference summed in list order, Lossy drawing one loss
+   per base-rule winner in winner order. *)
+module Rules = struct
+  let sinr phys ~active e =
+    let interference =
+      List.fold_left
+        (fun acc e' ->
+          if e' = e then acc
+          else acc +. Physics.interference_from phys ~src:e' ~dst:e)
+        0. active
+    in
+    let denom = interference +. (Physics.params phys).Params.noise in
+    if denom <= 0. then infinity else Physics.signal phys e /. denom
+
+  let feasible phys ~active e =
+    sinr phys ~active e >= (Physics.params phys).Params.beta
+
+  let rec adjudicate ?rng t attempts =
+    match t with
+    | Oracle.Wireline -> attempts
+    | Oracle.Mac -> ( match attempts with [ e ] -> [ e ] | _ -> [])
+    | Oracle.Sinr phys ->
+      List.filter (fun e -> feasible phys ~active:attempts e) attempts
+    | Oracle.Sinr_power_control (params, graph) ->
+      Power_control.max_feasible_subset params graph attempts
+    | Oracle.Conflict cg ->
+      List.filter
+        (fun e ->
+          not (List.exists (fun e' -> Conflict_graph.conflict cg e e') attempts))
+        attempts
+    | Oracle.Lossy (base, loss) -> (
+      if not (loss >= 0. && loss <= 1.) then
+        invalid_arg "Oracle.adjudicate: Lossy probability outside [0, 1]";
+      match rng with
+      | None -> invalid_arg "Oracle.adjudicate: Lossy oracle needs an rng"
+      | Some rng ->
+        List.filter
+          (fun _ -> not (Rng.bernoulli rng loss))
+          (adjudicate ~rng base attempts))
+end
+
+(* Given a slot's attempts as (request index, link) pairs and the
+   channel's successful links, flip the served flag of each winning
+   request. A successful link always carried exactly one attempt. *)
+let mark_successes ~served ~attempts ~succeeded =
+  List.iter
+    (fun link ->
+      match List.filter (fun (_, l) -> l = link) attempts with
+      | [ (idx, _) ] -> served.(idx) <- true
+      | [] | _ :: _ -> assert false)
+    succeeded
+
+(* Indices still unserved, in increasing order. *)
+let pending_indices served =
+  let acc = ref [] in
+  for idx = Array.length served - 1 downto 0 do
+    if not served.(idx) then acc := idx :: !acc
+  done;
+  !acc
+
+(* The list [Contention.run]: each pending request draws one Bernoulli
+   per slot in ascending index order and the winners attempt in that
+   order. [draws] counts the Bernoulli calls. *)
+let contention ?(draws = ref 0) ~c ~adaptive ~channel ~rng ~measure ~requests
+    ~budget () =
+  let n = Array.length requests in
+  let served = Array.make n false in
+  let initial_i = Request.measure_of ~measure requests in
+  let used = ref 0 in
+  let pending = ref (List.init n Fun.id) in
+  while !used < budget && !pending <> [] do
+    let i_val =
+      if adaptive then begin
+        let s = Channel.scratch channel in
+        Intvec.clear s.Scratch.pending;
+        List.iter (Intvec.push s.Scratch.pending) !pending;
+        Request.measure_of_live s ~measure requests s.Scratch.pending
+      end
+      else initial_i
+    in
+    let p = Float.min 1. (1. /. (c *. Float.max i_val 1.)) in
+    let attempts =
+      List.filter_map
+        (fun idx ->
+          incr draws;
+          if Rng.bernoulli rng p then Some (idx, requests.(idx).Request.link)
+          else None)
+        !pending
+    in
+    let succeeded = Lists.step channel (List.map snd attempts) in
+    mark_successes ~served ~attempts ~succeeded;
+    (match succeeded with
+    | [] -> ()
+    | _ -> pending := List.filter (fun idx -> not served.(idx)) !pending);
+    incr used
+  done;
+  { Algorithm.served; slots_used = !used }
+
+(* The list [Delay_select.run]: full-scan interference per round, one
+   uniform slot per pending request drawn in ascending index order,
+   bucket lists built by prepending. *)
+let delay_select ~c ~window_floor ~channel ~rng ~measure ~requests ~budget =
+  let n = Array.length requests in
+  let served = Array.make n false in
+  let used = ref 0 in
+  let continue = ref true in
+  while !continue do
+    match pending_indices served with
+    | [] -> continue := false
+    | pend ->
+      if !used >= budget then continue := false
+      else begin
+        let reqs = Array.of_list (List.map (fun i -> requests.(i)) pend) in
+        let i_val = Request.measure_of ~measure reqs in
+        let window = Int.max window_floor (int_of_float (Float.ceil (c *. i_val))) in
+        let window = Int.min window (budget - !used) in
+        let buckets = Array.make window [] in
+        List.iter
+          (fun idx ->
+            let d = Rng.int rng window in
+            buckets.(d) <- idx :: buckets.(d))
+          pend;
+        for slot = 0 to window - 1 do
+          let attempts =
+            List.map (fun idx -> (idx, requests.(idx).Request.link)) buckets.(slot)
+          in
+          let succeeded = Lists.step channel (List.map snd attempts) in
+          mark_successes ~served ~attempts ~succeeded;
+          incr used
+        done
+      end
+  done;
+  { Algorithm.served; slots_used = !used }
+
+(* The list max-weight greedy set: links by decreasing queue length
+   ([List.sort] is stable, so ties keep ascending id); a link is
+   accepted when the oracle grants the grown set, probed as the
+   candidate followed by the accepted links newest first. The result is
+   newest first. *)
+let greedy_set ?rng oracle weights =
+  let links =
+    List.filter (fun e -> weights.(e) > 0)
+      (List.init (Array.length weights) Fun.id)
+  in
+  let by_weight =
+    List.sort (fun a b -> compare weights.(b) weights.(a)) links
+  in
+  let feasible set =
+    let granted = Rules.adjudicate ?rng oracle set in
+    List.length granted = List.length set
+  in
+  List.fold_left
+    (fun chosen e -> if feasible (e :: chosen) then e :: chosen else chosen)
+    [] by_weight

@@ -21,6 +21,9 @@ module M = Dps_interference.Measure
 module Oracle = Dps_sim.Oracle
 module Channel = Dps_sim.Channel
 module Protocol = Dps_core.Protocol
+module Conflict_graph = Dps_interference.Conflict_graph
+module Request = Dps_static.Request
+module Algorithm = Dps_static.Algorithm
 
 let overhead =
   let a = Gc.minor_words () in
@@ -45,7 +48,7 @@ let test_idle_slots () =
 
 let busy_loop channel attempts =
   for _ = 1 to 10_000 do
-    ignore (Channel.step_vec channel attempts)
+    ignore (Channel.step channel attempts)
   done
 
 let test_busy_slots_wireline () =
@@ -63,20 +66,24 @@ let test_busy_slots_mac () =
   check_zero "10k solo mac slots" (fun () -> busy_loop channel solo);
   check_zero "10k colliding mac slots" (fun () -> busy_loop channel pair)
 
+(* A distance-2 conflict grid and its smallest-last measure. *)
+let conflict_grid ~side =
+  let cg =
+    Conflict_graph.distance2
+      (Dps_network.Topology.grid ~rows:side ~cols:side ~spacing:10.)
+  in
+  (cg, Conflict_graph.to_measure cg ~order:(Conflict_graph.degeneracy_order cg))
+
 (* The Conflict rule reads the channel's marks of the active set, one
    pass over each attempting link's conflicts: a busy slot allocates
    nothing however many links attempt. 24 links of a distance-2 grid
    attempt, some winning and some blocked. *)
 let test_busy_slots_conflict () =
-  let module Conflict_graph = Dps_interference.Conflict_graph in
-  let cg =
-    Conflict_graph.distance2
-      (Dps_network.Topology.grid ~rows:10 ~cols:10 ~spacing:10.)
-  in
+  let cg, _ = conflict_grid ~side:10 in
   let m = Conflict_graph.size cg in
   let channel = Channel.create ~oracle:(Oracle.Conflict cg) ~m () in
   let attempts = Intvec.of_list (List.init 24 (fun i -> i * 23 mod m)) in
-  let won = Intvec.length (Channel.step_vec channel attempts) in
+  let won = Intvec.length (Channel.step channel attempts) in
   if won = 0 || won = 24 then
     Alcotest.failf "fixture must mix winners and losers: %d of 24 won" won;
   busy_loop channel attempts;
@@ -140,6 +147,77 @@ let test_run_frame_wireline () =
 let test_run_frame_decay () =
   slope_pin "mac/decay" ~oracle:Oracle.Mac
     ~algorithm:(Dps_mac.Decay.make ~delta:0.3 ()) ~lambda:0.01 ~t1:576
+
+let test_run_frame_contention () =
+  let cg, measure = conflict_grid ~side:3 in
+  slope_pin "conflict/contention" ~measure ~m:(Conflict_graph.size cg)
+    ~oracle:(Oracle.Conflict cg) ~algorithm:Dps_static.Contention.theorem_19
+    ~lambda:0.001 ~t1:1024
+
+let test_run_frame_round_robin () =
+  slope_pin "mac/round-robin" ~measure:(Dps_mac.Mac_measure.make ~m:8)
+    ~oracle:Oracle.Mac ~algorithm:Dps_mac.Round_robin.algorithm ~lambda:0.1
+    ~t1:64
+
+(* ------------------------------------------------- busy runs *)
+
+(* A run's words, measured on a warm channel: the first run grows the
+   scratch vectors and creates the cached tracker. *)
+let run_words algorithm ~channel ~seed ~measure:w ~requests ~budget =
+  let run rng =
+    algorithm.Algorithm.run ~channel ~rng ~measure:w ~requests ~budget
+  in
+  ignore (run (Rng.create ~seed ()));
+  let rng = Rng.create ~seed () in
+  let slots = ref 0 in
+  let words = measure (fun () -> slots := (run rng).Algorithm.slots_used) in
+  (words, !slots)
+
+(* Round-robin keeps each station's FIFO in the channel's scratch: a run
+   allocates its [served] array and outcome (n + 4 words) and nothing
+   per slot, busy or silent. *)
+let test_round_robin_run () =
+  let m = 8 and n = 200 in
+  let channel = Channel.create ~oracle:Oracle.Mac ~m () in
+  let requests = Array.init n (fun k -> Request.make ~link:(k * 5 mod 7) ~key:k) in
+  let words, slots =
+    run_words Dps_mac.Round_robin.algorithm ~channel ~seed:1
+      ~measure:(Dps_mac.Mac_measure.make ~m) ~requests ~budget:(n + m)
+  in
+  Alcotest.(check int) "n + m slots" (n + m) slots;
+  Alcotest.(check (float 0.)) "served array and outcome" (float_of_int (n + 4))
+    words
+
+(* Contention on a distance-2 conflict channel: a run allocates its
+   [served] array and outcome (n + 4 words) and the boxed measure and
+   transmission probability (2 words each), and per slot only the
+   2-word box of each Bernoulli draw's [Random.State.float] (dev build).
+   The draw count comes from the list reference. *)
+let test_contention_run () =
+  let cg, measure = conflict_grid ~side:6 in
+  let m = Conflict_graph.size cg and n = 200 in
+  let requests = Array.init n (fun k -> Request.make ~link:(k * 7 mod m) ~key:k) in
+  let algorithm = Dps_static.Contention.theorem_19 in
+  let oracle = Oracle.Conflict cg in
+  let budget =
+    algorithm.Algorithm.duration ~m ~i:(Request.measure_of ~measure requests) ~n
+  in
+  let words, slots =
+    run_words algorithm ~channel:(Channel.create ~oracle ~m ()) ~seed:2
+      ~measure ~requests ~budget
+  in
+  let draws = ref 0 in
+  let reference =
+    Reference.contention ~draws ~c:4. ~adaptive:false
+      ~channel:(Channel.create ~oracle ~m ()) ~rng:(Rng.create ~seed:2 ())
+      ~measure ~requests ~budget ()
+  in
+  Alcotest.(check int) "slots as the reference" reference.Algorithm.slots_used
+    slots;
+  if slots < 100 then Alcotest.failf "fixture too small: %d slots" slots;
+  Alcotest.(check (float 0.)) "per-run words + 2 per draw"
+    (float_of_int (n + 8 + (2 * !draws)))
+    words
 
 (* ------------------------------------------------- sparse hot path *)
 
@@ -272,7 +350,15 @@ let () =
           quick "busy conflict slots allocate nothing" test_busy_slots_conflict ] );
       ( "protocol",
         [ quick "run_frame slope pin (wireline/oneshot)" test_run_frame_wireline;
-          quick "run_frame slope pin (mac/decay)" test_run_frame_decay ] );
+          quick "run_frame slope pin (mac/decay)" test_run_frame_decay;
+          quick "run_frame slope pin (conflict/contention)"
+            test_run_frame_contention;
+          quick "run_frame slope pin (mac/round-robin)"
+            test_run_frame_round_robin ] );
+      ( "runs",
+        [ quick "a round-robin run allocates per run only" test_round_robin_run;
+          quick "a contention run allocates per run and per draw only"
+            test_contention_run ] );
       ( "sparse",
         [ quick "run_frame slope pin (sinr/oneshot, tiled measure)"
             test_run_frame_sparse;

@@ -1,14 +1,40 @@
 (* Packet_arena: the preallocated structure-of-arrays packet store must
-   behave exactly like the record-backed Packet module it replaced in the
-   protocol hot loop — and its free list must recycle handles without
-   ever aliasing a live one. *)
+   behave exactly like a plain packet record — and its free list must
+   recycle handles without ever aliasing a live one. *)
 
 module Rng = Dps_prelude.Rng
 module Path = Dps_network.Path
 module Topology = Dps_network.Topology
 module Routing = Dps_network.Routing
-module Packet = Dps_sim.Packet
 module Arena = Dps_sim.Packet_arena
+
+(* The record model: a packet as one mutable record, [None] standing
+   for the arena's -1 slot numbers. *)
+module Packet = struct
+  type t = {
+    id : int;
+    path : Path.t;
+    injected_slot : int;
+    mutable hop : int;
+    mutable delivered_slot : int option;
+    mutable failed : bool;
+    mutable release_frame : int;
+  }
+
+  let make ~id ~path ~injected_slot =
+    { id; path; injected_slot; hop = 0; delivered_slot = None; failed = false;
+      release_frame = 0 }
+
+  let delivered t = t.hop >= Path.length t.path
+  let next_link t = Path.hop t.path t.hop
+  let remaining_hops t = Path.length t.path - t.hop
+
+  let advance t ~slot =
+    t.hop <- t.hop + 1;
+    if delivered t then t.delivered_slot <- Some slot
+
+  let latency t = Option.map (fun s -> s - t.injected_slot) t.delivered_slot
+end
 
 (* A pool of distinct valid paths (1..5 hops on a line). *)
 let path_pool =

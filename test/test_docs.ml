@@ -4,10 +4,10 @@
    instead this test enforces the parts that matter for reviewers:
 
    - every interface of the libraries whose surface is documented
-     behaviour (telemetry, faults, trace, par, serve, and the
-     interference / geometry substrate including the tiled sparse
-     engine) opens with a module doc comment and documents every
-     exported value;
+     behaviour (telemetry, faults, trace, par, serve, the slot loop of
+     sim, static, mac and sinr, and the interference / geometry
+     substrate including the tiled sparse engine) opens with a module
+     doc comment and documents every exported value;
    - the flag tables of docs/CLI.md and docs/SERVING.md agree with
      `dps_run --help` and `dps_serve --help` respectively, in BOTH
      directions — a flag added to a parser without a table row, or a
@@ -71,6 +71,22 @@ let test_par_mli () = check_dir "par" [ "par" ]
 
 let test_serve_mlis () =
   check_dir "serve" [ "classes"; "bucket"; "wire"; "scenario"; "engine" ]
+
+let test_sim_mlis () =
+  check_dir "sim" [ "channel"; "oracle"; "packet_arena"; "scratch"; "trace" ]
+
+let test_static_mlis () =
+  check_dir "static"
+    [ "algorithm"; "contention"; "delay_select"; "measure_greedy"; "oneshot";
+      "request" ]
+
+let test_mac_mlis () =
+  check_dir "mac" [ "decay"; "mac_measure"; "round_robin" ]
+
+let test_sinr_mlis () =
+  check_dir "sinr"
+    [ "affectance"; "params"; "physics"; "power"; "power_control";
+      "sinr_measure" ]
 
 (* -------------------------------------------- CLI.md vs --help drift *)
 
@@ -271,7 +287,11 @@ let () =
           Alcotest.test_case "faults interfaces" `Quick test_faults_mlis;
           Alcotest.test_case "trace interfaces" `Quick test_trace_mlis;
           Alcotest.test_case "par interface" `Quick test_par_mli;
-          Alcotest.test_case "serve interfaces" `Quick test_serve_mlis ] );
+          Alcotest.test_case "serve interfaces" `Quick test_serve_mlis;
+          Alcotest.test_case "sim interfaces" `Quick test_sim_mlis;
+          Alcotest.test_case "static interfaces" `Quick test_static_mlis;
+          Alcotest.test_case "mac interfaces" `Quick test_mac_mlis;
+          Alcotest.test_case "sinr interfaces" `Quick test_sinr_mlis ] );
       ( "cli-drift",
         [ Alcotest.test_case "CLI.md <-> dps_run --help" `Quick
             test_cli_md_drift;

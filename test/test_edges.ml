@@ -18,7 +18,8 @@ module Physics = Dps_sinr.Physics
 module Oracle = Dps_sim.Oracle
 module Channel = Dps_sim.Channel
 module Trace = Dps_sim.Trace
-module Packet = Dps_sim.Packet
+module Arena = Dps_sim.Packet_arena
+module Lists = Reference.Lists
 module Transform = Dps_core.Transform
 module Contention = Dps_static.Contention
 module Algorithm = Dps_static.Algorithm
@@ -69,7 +70,7 @@ let test_path_pp () =
 
 let test_trace_pp () =
   let ch = Channel.create ~oracle:Oracle.Wireline ~m:2 () in
-  ignore (Channel.step ch [ 0 ]);
+  ignore (Lists.step ch [ 0 ]);
   let text = Format.asprintf "%a" Trace.pp (Channel.trace ch) in
   Alcotest.(check bool) "mentions slots" true (contains text "slots=1")
 
@@ -125,20 +126,19 @@ let test_conflict_graph_no_conflicts () =
 let test_channel_mixed_duplicates () =
   (* Duplicates and singletons in one slot under wireline. *)
   let ch = Channel.create ~oracle:Oracle.Wireline ~m:4 () in
-  let succ = List.sort compare (Channel.step ch [ 1; 2; 1; 3; 3; 3 ]) in
+  let succ = List.sort compare (Lists.step ch [ 1; 2; 1; 3; 3; 3 ]) in
   Alcotest.(check (list int)) "only the singleton" [ 2 ] succ;
   (* All six attempts were still counted. *)
   Alcotest.(check int) "attempts" 6 (Trace.attempts (Channel.trace ch))
 
 let test_packet_single_hop () =
   let g = Topology.line ~nodes:2 ~spacing:1. in
-  let p =
-    Packet.make ~id:0 ~path:(Path.of_links g [ 0 ]) ~injected_slot:5
-  in
-  Alcotest.(check int) "one hop" 1 (Packet.remaining_hops p);
-  Packet.advance p ~slot:9;
-  Alcotest.(check bool) "done" true (Packet.delivered p);
-  Alcotest.(check (option int)) "latency 4" (Some 4) (Packet.latency p)
+  let a = Arena.create () in
+  let p = Arena.alloc a ~id:0 ~path:(Path.of_links g [ 0 ]) ~injected_slot:5 in
+  Alcotest.(check int) "one hop" 1 (Arena.remaining_hops a p);
+  Arena.advance a p ~slot:9;
+  Alcotest.(check bool) "done" true (Arena.delivered a p);
+  Alcotest.(check int) "latency 4" 4 (Arena.latency a p)
 
 let test_physics_beta_boundary () =
   (* Shared-sender pair: SINR is exactly beta; the closed comparison admits
@@ -152,9 +152,9 @@ let test_physics_beta_boundary () =
   in
   let phys = Physics.make (Params.make ()) (Power.uniform 1.) g in
   Alcotest.(check (float 1e-9)) "sinr exactly beta" 1.
-    (Physics.sinr phys ~active:[ 0; 1 ] 0);
+    (Lists.sinr phys ~active:[ 0; 1 ] 0);
   Alcotest.(check bool) "boundary passes (closed inequality)" true
-    (Physics.feasible phys ~active:[ 0; 1 ] 0)
+    (Lists.feasible phys ~active:[ 0; 1 ] 0)
 
 (* --------------------------------------------------------- paper consts *)
 

@@ -16,6 +16,7 @@ module Power_control = Dps_sinr.Power_control
 module Sinr_measure = Dps_sinr.Sinr_measure
 module Oracle = Dps_sim.Oracle
 module Channel = Dps_sim.Channel
+module Lists = Reference.Lists
 module Request = Dps_static.Request
 module Algorithm = Dps_static.Algorithm
 module Measure_greedy = Dps_static.Measure_greedy
@@ -133,9 +134,9 @@ let test_pc_oracle_adjudication () =
   let oracle = Oracle.Sinr_power_control (prm, g) in
   (* Both attempt: the longer link (0, length 3) is dropped. *)
   Alcotest.(check (list int)) "longest dropped" [ 1 ]
-    (Oracle.adjudicate oracle [ 0; 1 ]);
+    (Lists.adjudicate oracle [ 0; 1 ]);
   Alcotest.(check (list int)) "alone it passes" [ 0 ]
-    (Oracle.adjudicate oracle [ 0 ])
+    (Lists.adjudicate oracle [ 0 ])
 
 (* ---------------------------------------------------------- radio model *)
 
@@ -178,7 +179,7 @@ let test_lossy_requires_rng () =
   let oracle = Oracle.Lossy (Oracle.Wireline, 0.5) in
   Alcotest.check_raises "needs rng"
     (Invalid_argument "Oracle.adjudicate: Lossy oracle needs an rng")
-    (fun () -> ignore (Oracle.adjudicate oracle [ 0 ]))
+    (fun () -> ignore (Lists.adjudicate oracle [ 0 ]))
 
 let test_lossy_rejects_bad_probability () =
   let rng = Rng.create ~seed:41 () in
@@ -189,7 +190,7 @@ let test_lossy_rejects_bad_probability () =
         (Invalid_argument "Oracle.adjudicate: Lossy probability outside [0, 1]")
         (fun () ->
           ignore
-            (Oracle.adjudicate ~rng (Oracle.Lossy (Oracle.Wireline, loss))
+            (Lists.adjudicate ~rng (Oracle.Lossy (Oracle.Wireline, loss))
                [ 0 ])))
     [ -0.1; 1.5; Float.nan ]
 
@@ -197,9 +198,9 @@ let test_lossy_extremes () =
   let rng = Rng.create ~seed:42 () in
   Alcotest.(check (list int)) "loss 0 = base" [ 0; 1 ]
     (List.sort compare
-       (Oracle.adjudicate ~rng (Oracle.Lossy (Oracle.Wireline, 0.)) [ 0; 1 ]));
+       (Lists.adjudicate ~rng (Oracle.Lossy (Oracle.Wireline, 0.)) [ 0; 1 ]));
   Alcotest.(check (list int)) "loss 1 = nothing" []
-    (Oracle.adjudicate ~rng (Oracle.Lossy (Oracle.Wireline, 1.)) [ 0; 1 ])
+    (Lists.adjudicate ~rng (Oracle.Lossy (Oracle.Wireline, 1.)) [ 0; 1 ])
 
 let test_lossy_rate () =
   let rng = Rng.create ~seed:43 () in
@@ -208,7 +209,7 @@ let test_lossy_rate () =
   let delivered = ref 0 in
   let slots = 20_000 in
   for _ = 1 to slots do
-    delivered := !delivered + List.length (Channel.step channel [ 0 ])
+    delivered := !delivered + List.length (Lists.step channel [ 0 ])
   done;
   let rate = float_of_int !delivered /. float_of_int slots in
   Alcotest.(check bool) "≈ 0.7 get through" true (rate > 0.67 && rate < 0.73)
@@ -218,7 +219,7 @@ let test_lossy_composes () =
   (* Lossy over MAC: a colliding pair still yields nothing. *)
   let oracle = Oracle.Lossy (Oracle.Mac, 0.) in
   Alcotest.(check (list int)) "base rule preserved" []
-    (Oracle.adjudicate ~rng oracle [ 0; 1 ])
+    (Lists.adjudicate ~rng oracle [ 0; 1 ])
 
 let test_lossy_protocol_stays_stable () =
   (* Section 9's "trivial extension": with loss probability p, scheduling
@@ -331,8 +332,8 @@ let prop_pc_fixed_feasible_subsets =
              boundary (e.g. sharing a sender) have rho(M) = 1 and are
              legitimately power-control infeasible. *)
           let strict =
-            Physics.sinr phys ~active:[ a; b ] a > 1. +. 1e-6
-            && Physics.sinr phys ~active:[ a; b ] b > 1. +. 1e-6
+            Lists.sinr phys ~active:[ a; b ] a > 1. +. 1e-6
+            && Lists.sinr phys ~active:[ a; b ] b > 1. +. 1e-6
           in
           if strict then Power_control.feasible prm g [ a; b ] else true
         end
@@ -351,7 +352,7 @@ let prop_pc_oracle_returns_feasible =
         let prm = Params.make () in
         let attempts = List.sort_uniq compare (List.map (fun e -> e mod m) raw) in
         let granted =
-          Oracle.adjudicate (Oracle.Sinr_power_control (prm, g)) attempts
+          Lists.adjudicate (Oracle.Sinr_power_control (prm, g)) attempts
         in
         granted = [] || Power_control.feasible prm g granted
       end)
@@ -363,7 +364,7 @@ let prop_lossy_subset_of_base =
       let rng = Rng.create ~seed () in
       let base = Oracle.Wireline in
       let lossy = Oracle.Lossy (base, 0.5) in
-      let successes = Oracle.adjudicate ~rng lossy attempts in
+      let successes = Lists.adjudicate ~rng lossy attempts in
       List.for_all (fun e -> List.mem e attempts) successes)
 
 let () =

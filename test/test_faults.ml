@@ -10,6 +10,7 @@ module Topology = Dps_network.Topology
 module Measure = Dps_interference.Measure
 module Oracle = Dps_sim.Oracle
 module Channel = Dps_sim.Channel
+module Lists = Reference.Lists
 module Plan = Dps_faults.Plan
 module Injector = Dps_faults.Injector
 module Oneshot = Dps_static.Oneshot
@@ -150,15 +151,15 @@ let test_outage_interval () =
     jammed_channel (Plan.parse "outage:1-2:links=0")
   in
   Alcotest.(check (list int)) "slot 0: before episode" [ 0; 1 ]
-    (List.sort compare (Channel.step channel [ 0; 1 ]));
+    (List.sort compare (Lists.step channel [ 0; 1 ]));
   Alcotest.(check (list int)) "slot 1: link 0 out" [ 1 ]
-    (Channel.step channel [ 0; 1 ]);
+    (Lists.step channel [ 0; 1 ]);
   Alcotest.(check int) "one episode active" 1
     (Injector.active_episodes injector);
   Alcotest.(check (list int)) "slot 2: still out" [ 1 ]
-    (Channel.step channel [ 0; 1 ]);
+    (Lists.step channel [ 0; 1 ]);
   Alcotest.(check (list int)) "slot 3: episode over" [ 0; 1 ]
-    (List.sort compare (Channel.step channel [ 0; 1 ]));
+    (List.sort compare (Lists.step channel [ 0; 1 ]));
   Alcotest.(check int) "no episode active" 0
     (Injector.active_episodes injector);
   Alcotest.(check int) "outage suppressions" 2
@@ -167,9 +168,9 @@ let test_outage_interval () =
 
 let test_jam_all_links () =
   let channel, injector = jammed_channel (Plan.parse "jam:0-0") in
-  Alcotest.(check (list int)) "jammed slot" [] (Channel.step channel [ 0; 1 ]);
+  Alcotest.(check (list int)) "jammed slot" [] (Lists.step channel [ 0; 1 ]);
   Alcotest.(check (list int)) "next slot clean" [ 0; 1 ]
-    (List.sort compare (Channel.step channel [ 0; 1 ]));
+    (List.sort compare (Lists.step channel [ 0; 1 ]));
   Alcotest.(check int) "jam suppressions" 2
     (Injector.suppressed_of injector "jam")
 
@@ -180,7 +181,7 @@ let test_loss_certain_and_never () =
       (Plan.parse "loss:0-9:p=1")
   in
   for _ = 0 to 9 do
-    Alcotest.(check (list int)) "p=1 drops all" [] (Channel.step channel [ 0 ])
+    Alcotest.(check (list int)) "p=1 drops all" [] (Lists.step channel [ 0 ])
   done;
   Alcotest.(check int) "loss suppressions" 10
     (Injector.suppressed_of injector "loss");
@@ -191,7 +192,7 @@ let test_loss_certain_and_never () =
   in
   for _ = 0 to 9 do
     Alcotest.(check (list int)) "p=0 drops none" [ 0 ]
-      (Channel.step channel [ 0 ])
+      (Lists.step channel [ 0 ])
   done;
   Alcotest.(check int) "no loss suppressions" 0
     (Injector.suppressed injector)
@@ -209,16 +210,16 @@ let test_degrade_with_measure () =
       (Plan.parse "degrade:0-9:gamma=1")
   in
   Alcotest.(check (list int)) "concurrent pair degraded" []
-    (Channel.step channel [ 0; 1 ]);
+    (Lists.step channel [ 0; 1 ]);
   Alcotest.(check (list int)) "solo transmission survives" [ 0 ]
-    (Channel.step channel [ 0 ]);
+    (Lists.step channel [ 0 ]);
   Alcotest.(check int) "degrade suppressions" 2
     (Injector.suppressed_of injector "degrade")
 
 let test_degrade_without_measure_noop () =
   let channel, injector = jammed_channel (Plan.parse "degrade:0-9:gamma=99") in
   Alcotest.(check (list int)) "no measure, no degradation" [ 0; 1 ]
-    (List.sort compare (Channel.step channel [ 0; 1 ]));
+    (List.sort compare (Lists.step channel [ 0; 1 ]));
   Alcotest.(check int) "nothing suppressed" 0 (Injector.suppressed injector)
 
 let test_neighbourhood_target () =
@@ -230,7 +231,7 @@ let test_neighbourhood_target () =
       (Plan.parse "jam:0-9:near=0~0.5")
   in
   Alcotest.(check (list int)) "only the center jammed" [ 1 ]
-    (Channel.step channel [ 0; 1 ]);
+    (Lists.step channel [ 0; 1 ]);
   Alcotest.(check int) "one suppression" 1 (Injector.suppressed injector)
 
 let test_target_out_of_range () =
@@ -251,7 +252,7 @@ let test_episode_events () =
       ~m:2 ()
   in
   for _ = 0 to 4 do
-    ignore (Channel.step channel [ 0 ])
+    ignore (Lists.step channel [ 0 ])
   done;
   Telemetry.emit_metrics t ~frame:2;
   match Memory_sink.events recorder with

@@ -3,10 +3,10 @@
    - [Request.measure_of_live] equals [Request.measure_of] on the same
      requests, on the dense, exact tiled and ε-sparsified tiled measures;
    - the tiled engine's on-demand columns hold exactly its row entries;
-   - vector SINR, conflict and lossy adjudication equal the list rules;
-   - [Delay_select] equals the historical list implementation, kept here
-     as the reference: same served set, slots, channel trace and rng
-     stream;
+   - SINR, conflict and lossy adjudication equal the list rules of
+     test/reference.ml;
+   - [Delay_select] equals the list implementation in test/reference.ml:
+     same served set, slots, channel trace and rng stream;
    - [Intvec.sort] sorts. *)
 
 module Rng = Dps_prelude.Rng
@@ -20,7 +20,6 @@ module Oracle = Dps_sim.Oracle
 module Trace = Dps_sim.Trace
 module Scratch = Dps_sim.Scratch
 module Request = Dps_static.Request
-module Runner = Dps_static.Runner
 module Algorithm = Dps_static.Algorithm
 module Delay_select = Dps_static.Delay_select
 
@@ -125,27 +124,29 @@ let prop_vector_sinr =
           Intvec.push active e
         end
       done;
-      (* the list API receives the active set reversed *)
+      (* the rules see the active set back to front *)
       let listed = List.rev (Intvec.to_list active) in
       let marks = Array.map Bool.to_int seen in
       let winners = Intvec.create () in
       let same oracle =
         let r1 = Rng.create ~seed () and r2 = Rng.create ~seed () in
-        Oracle.adjudicate_vec ~rng:r1 oracle ~active ~marks ~winners;
-        Intvec.to_list winners = Oracle.adjudicate ~rng:r2 oracle listed
+        Oracle.adjudicate ~rng:r1 oracle ~active ~marks ~winners;
+        Intvec.to_list winners = Reference.Rules.adjudicate ~rng:r2 oracle listed
         && Rng.int r1 1_000_000 = Rng.int r2 1_000_000
       in
       List.for_all
         (fun e ->
-          bits (Physics.sinr_vec phys ~active e) = bits (Physics.sinr phys ~active:listed e)
-          && Physics.feasible_vec phys ~active e = Physics.feasible phys ~active:listed e)
+          bits (Physics.sinr phys ~active e)
+          = bits (Reference.Rules.sinr phys ~active:listed e)
+          && Physics.feasible phys ~active e
+             = Reference.Rules.feasible phys ~active:listed e)
         listed
       && same (Oracle.Sinr phys)
       && same (Oracle.Lossy (Oracle.Sinr phys, 0.3))
       && same (Oracle.Lossy (Oracle.Lossy (Oracle.Wireline, 0.2), 0.5)))
 
 (* The Conflict rule reads the marked active set instead of testing
-   every ordered pair of attempting links; winners and their order stay
+   every ordered pair of attempting links; winners and their order are
    those of the list rule, alone and under Lossy. *)
 let prop_vector_conflict =
   QCheck.Test.make ~count:200 ~name:"vector conflict adjudication is the list rule"
@@ -166,49 +167,13 @@ let prop_vector_conflict =
       let winners = Intvec.create () in
       let same oracle =
         let r1 = Rng.create ~seed () and r2 = Rng.create ~seed () in
-        Oracle.adjudicate_vec ~rng:r1 oracle ~active ~marks ~winners;
-        Intvec.to_list winners = Oracle.adjudicate ~rng:r2 oracle listed
+        Oracle.adjudicate ~rng:r1 oracle ~active ~marks ~winners;
+        Intvec.to_list winners = Reference.Rules.adjudicate ~rng:r2 oracle listed
         && Rng.int r1 1_000_000 = Rng.int r2 1_000_000
       in
       same (Oracle.Conflict cg) && same (Oracle.Lossy (Oracle.Conflict cg, 0.3)))
 
 (* ----------------------------------------------- delay-select reference *)
-
-(* The list implementation [Delay_select] replaced, verbatim in
-   behaviour: full-scan interference per round, bucket lists built by
-   prepending, the list channel API. *)
-let reference_delay_select ~c ~window_floor ~channel ~rng ~measure ~requests ~budget =
-  let n = Array.length requests in
-  let served = Array.make n false in
-  let used = ref 0 in
-  let continue = ref true in
-  while !continue do
-    match Runner.pending_indices served with
-    | [] -> continue := false
-    | pend ->
-      if !used >= budget then continue := false
-      else begin
-        let reqs = Array.of_list (List.map (fun i -> requests.(i)) pend) in
-        let i_val = Request.measure_of ~measure reqs in
-        let window = Int.max window_floor (int_of_float (Float.ceil (c *. i_val))) in
-        let window = Int.min window (budget - !used) in
-        let buckets = Array.make window [] in
-        List.iter
-          (fun idx ->
-            let d = Rng.int rng window in
-            buckets.(d) <- idx :: buckets.(d))
-          pend;
-        for slot = 0 to window - 1 do
-          let attempts =
-            List.map (fun idx -> (idx, requests.(idx).Request.link)) buckets.(slot)
-          in
-          let succeeded = Channel.step channel (List.map snd attempts) in
-          Runner.mark_successes ~served ~attempts ~succeeded;
-          incr used
-        done
-      end
-  done;
-  { Algorithm.served; slots_used = !used }
 
 let prop_delay_select_reference =
   QCheck.Test.make ~count:40 ~name:"delay-select matches the list reference"
@@ -232,7 +197,7 @@ let prop_delay_select_reference =
       let fast ~channel ~rng ~measure ~requests ~budget =
         algo.Algorithm.run ~channel ~rng ~measure ~requests ~budget
       in
-      let slow = reference_delay_select ~c:4. ~window_floor:8 in
+      let slow = Reference.delay_select ~c:4. ~window_floor:8 in
       List.for_all
         (fun (oracle, measure) -> run oracle measure fast = run oracle measure slow)
         ((Oracle.Wireline, Measure.identity links)

