@@ -18,7 +18,9 @@ let make ?(budget = 0.5) ?(slack = 8) ~priority () =
     (* Fixed processing order: by priority of the requested link, ties by
        request index so the schedule is deterministic. Each priority is
        computed once, not twice per comparison. *)
-    let key = Array.init n (fun idx -> priority requests.(idx).Request.link) in
+    let key : float array =
+      Array.init n (fun idx -> priority requests.(idx).Request.link)
+    in
     let order = Array.init n Fun.id in
     Array.sort
       (fun a b ->
