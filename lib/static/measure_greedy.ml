@@ -17,7 +17,8 @@ let make ?(budget = 0.5) ?(slack = 8) ~priority () =
     let used = ref 0 in
     (* Fixed processing order: by priority of the requested link, ties by
        request index so the schedule is deterministic. Each priority is
-       computed once, not twice per comparison. *)
+       computed once, not twice per comparison, into a [float array]
+       typed as such so that comparisons read unboxed floats. *)
     let key : float array =
       Array.init n (fun idx -> priority requests.(idx).Request.link)
     in
